@@ -39,9 +39,17 @@ use std::path::{Path, PathBuf};
 
 /// Options that take no value; `--profile` alone means "print the profile",
 /// `--compress` selects bricked compressed frame output, `--mmap` pages
-/// raw frames by zero-copy file mapping, and `--adaptive` asks
-/// `client render-slice` for IATF-modulated opacity.
-const BOOL_FLAGS: &[&str] = &["profile", "compress", "mmap", "adaptive", "seed-from-track"];
+/// raw frames by zero-copy file mapping, `--adaptive` asks
+/// `client render-slice` for IATF-modulated opacity, and `--help` after any
+/// subcommand prints [`USAGE`].
+const BOOL_FLAGS: &[&str] = &[
+    "profile",
+    "compress",
+    "mmap",
+    "adaptive",
+    "seed-from-track",
+    "help",
+];
 
 /// Parsed command line: subcommand, positional args, `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1568,6 +1576,9 @@ fn format_response(args: &Args, body: ifet_serve::ResponseBody) -> Result<String
 /// `--trace-mode full|stable` picks between wall-clock timings and the
 /// deterministic-counters-only form (default `full`).
 pub fn run(args: &Args) -> Result<String, String> {
+    if args.flag("help") {
+        return Ok(USAGE.to_string());
+    }
     let trace_path = args.opt("trace");
     let profile = args.flag("profile");
     if trace_path.is_none() && !profile {
@@ -1664,6 +1675,7 @@ USAGE:
   ifet serve --socket PATH [--max-inflight N] [--max-requests N] [--workers N]
              [--tenant-quota-bytes B] [ooc options]
   ifet client <verb> --socket PATH [--tenant N] [verb options]
+  ifet help | ifet <cmd> --help     print this text
 
 session service (serve / client):
   `serve` keeps many session artifacts resident at once, every tenant's

@@ -3,9 +3,9 @@
 //! the painted data-space tracking path (`session save --paint` +
 //! `track --session --dataspace-tau`).
 //!
-//! One test function on purpose: captures serialize process-wide, but any
-//! concurrently running *uncaptured* instrumented code would leak counters
-//! into whichever capture is live. A single test keeps the binary race-free.
+//! Captures are scoped to the threads that run them, so tests in this binary
+//! could run side by side; the journey stays one test because each step
+//! feeds the next.
 
 use ifet_cli::{parse_args, run};
 use ifet_core::obs;

@@ -6,8 +6,8 @@ use ifet_nn::mlp::Scratch;
 use ifet_nn::{Activation, Mlp, Normalizer, Svm, SvmParams, TrainParams, Trainer, TrainingSet};
 use ifet_obs as obs;
 use ifet_volume::{
-    map_frames_windowed, map_frames_windowed_into, FrameSink, FrameSource, Mask3, MultiSeries,
-    MultiVolume, ScalarVolume, SeriesError,
+    map_frames_windowed, map_frames_windowed_into, Dims3, FrameSink, FrameSource, Mask3,
+    MultiSeries, MultiVolume, ScalarVolume, SeriesError,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -678,25 +678,9 @@ impl DataSpaceClassifier {
 
     /// Classify a multivariate frame (trained via [`Self::train_multi`]).
     pub fn classify_frame_multi(&self, frame: &MultiVolume, t_norm: f32) -> ScalarVolume {
-        let _span = obs::span("extract.classify_frame");
-        let d = frame.dims();
-        let slab = d.nx * d.ny;
-        let b = self.batch_rows();
-        let mut data = vec![0.0f32; d.len()];
-        data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the flush runs after the predictor returns
-            // its buffers (take/put bracket the pool counters).
-            let _flush = obs::flush_guard();
-            let mut predictor = self.predictor();
-            for y in 0..d.ny {
-                let row = &mut out[d.nx * y..d.nx * (y + 1)];
-                for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                    predictor.predict_run_multi_at(frame, ci * b, y, z, t_norm, chunk);
-                }
-            }
-            obs::counter("voxels_classified", out.len() as u64);
-        });
-        ScalarVolume::from_vec(d, data)
+        self.classify_slabs(frame.dims(), |p, x0, y, z, run| {
+            p.predict_run_multi_at(frame, x0, y, z, t_norm, run)
+        })
     }
 
     /// Multivariate classification thresholded into a mask.
@@ -720,20 +704,32 @@ impl DataSpaceClassifier {
     /// z-slabs; this is the "10 seconds for a 256³ volume" operation of
     /// Section 7, here multithreaded).
     pub fn classify_frame(&self, frame: &ScalarVolume, t_norm: f32) -> ScalarVolume {
+        self.classify_slabs(frame.dims(), |p, x0, y, z, run| {
+            p.predict_run_into(frame, x0, y, z, t_norm, run)
+        })
+    }
+
+    /// The z-slab fan-out behind [`Self::classify_frame`] and
+    /// [`Self::classify_frame_multi`]: `predict(p, x0, y, z, run)` fills the
+    /// certainties of one batch-wide run of row `y` starting at `x0`.
+    fn classify_slabs<P>(&self, d: Dims3, predict: P) -> ScalarVolume
+    where
+        P: Fn(&mut PooledPredictor<'_>, usize, usize, usize, &mut [f32]) + Sync,
+    {
         let _span = obs::span("extract.classify_frame");
-        let d = frame.dims();
-        let slab = d.nx * d.ny;
         let b = self.batch_rows();
         let mut data = vec![0.0f32; d.len()];
+        let scope = obs::current();
+        let slab = d.nx * d.ny;
         data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the flush runs after the predictor returns
-            // its buffers (take/put bracket the pool counters).
-            let _flush = obs::flush_guard();
+            // Declared first so the scope is left after the predictor
+            // returns its buffers (take/put bracket the pool counters).
+            let _obs = scope.enter();
             let mut predictor = self.predictor();
             for y in 0..d.ny {
                 let row = &mut out[d.nx * y..d.nx * (y + 1)];
-                for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                    predictor.predict_run_into(frame, ci * b, y, z, t_norm, chunk);
+                for (ci, run) in row.chunks_mut(b).enumerate() {
+                    predict(&mut predictor, ci * b, y, z, run);
                 }
             }
             obs::counter("voxels_classified", out.len() as u64);
@@ -790,17 +786,13 @@ impl DataSpaceClassifier {
     }
 
     /// The per-frame body shared by every whole-series classification entry
-    /// point: one certainty volume for the frame at step `t`, with the
-    /// deterministic `frames` / `voxels_classified` counters. Identical
+    /// point: one certainty volume for a frame at normalized time `tn`, with
+    /// the deterministic `frames` / `voxels_classified` counters. Identical
     /// regardless of which entry point drives it, so streamed and
     /// materialized outputs are byte-identical.
-    fn classify_one_frame(&self, t: u32, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
-        // Declared first so the flush runs after the predictor
-        // returns its buffers (take/put bracket the pool counters).
-        let _flush = obs::flush_guard();
+    fn classify_one_frame(&self, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
         // Within a frame we stay sequential: frame-level parallelism
         // already saturates the pool for multi-frame series.
-        let _ = t;
         let d = frame.dims();
         let b = self.batch_rows();
         let mut predictor = self.predictor();
@@ -843,7 +835,7 @@ impl DataSpaceClassifier {
         let _span = obs::span("extract.classify_series");
         map_frames_windowed(series, |i, t, frame| {
             let tn = series.normalized_time(t);
-            post(i, t, self.classify_one_frame(t, frame, tn))
+            post(i, t, self.classify_one_frame(frame, tn))
         })
     }
 
@@ -860,7 +852,7 @@ impl DataSpaceClassifier {
         let _span = obs::span("extract.classify_series");
         map_frames_windowed_into(series, sink, |_i, t, frame| {
             let tn = series.normalized_time(t);
-            self.classify_one_frame(t, frame, tn)
+            self.classify_one_frame(frame, tn)
         })
     }
 }

@@ -2,25 +2,35 @@
 //!
 //! This crate is the registry behind `ifet <cmd> --trace/--profile`. It is
 //! deliberately dependency-free (only the offline serde shims, for JSON) and
-//! designed around two constraints:
+//! designed around three constraints:
 //!
 //! 1. **Near-zero cost when disabled.** Every entry point starts with a single
-//!    relaxed atomic load; instrumented code reports *aggregates* (one counter
-//!    call per slab / frame / round / section, never per voxel), so the
-//!    disabled path adds a handful of branches to work units that each cost
-//!    milliseconds. The `obs_overhead` bench pins this below 5%.
+//!    relaxed load of the live-capture count; instrumented code reports
+//!    *aggregates* (one counter call per slab / frame / round / section, never
+//!    per voxel), so the disabled path adds a handful of branches to work
+//!    units that each cost milliseconds. The `obs_overhead` bench pins this
+//!    below 5%.
 //!
-//! 2. **Deterministic counters across thread counts.** Counter deltas from
-//!    worker threads accumulate in thread-local buffers and are merged into
-//!    the innermost open span when it closes (u64 addition commutes, so the
-//!    merge order does not matter). Counters are sorted by name at span close.
-//!    Timings and scheduling-dependent values (scratch-pool hits, barrier
-//!    waits) are recorded through [`counter_runtime`] and stripped by
+//! 2. **A trace describes one capture and nothing else.** [`capture`] creates
+//!    a collector and installs it in the calling thread's thread-local. Only
+//!    threads that have a collector installed record anything, so concurrent
+//!    captures and uncaptured work never mix. Code that fans work out to
+//!    other threads takes the handle with [`current`] and calls
+//!    [`Scope::enter`] on each worker; a thread that never enters a scope
+//!    contributes nothing.
+//!
+//! 3. **Deterministic counters across thread counts.** Counter deltas buffer
+//!    in the recording thread's thread-local and merge into the innermost open
+//!    span of its capture when that thread opens or closes a span, or when its
+//!    [`ScopeGuard`] drops (u64 addition commutes, so the merge order does not
+//!    matter). Counters are sorted by name at span close. Timings and
+//!    scheduling-dependent values (scratch-pool hits, barrier waits) are
+//!    recorded through [`counter_runtime`] and stripped by
 //!    [`Trace::to_stable`], so the *stable* rendering of a trace is
 //!    byte-identical across `--threads 1/2/4`.
 //!
-//! Spans form a tree rooted at the name passed to [`start`]/[`capture`]. Only
-//! the thread that called `start` may open spans (the rayon shim runs
+//! Spans form a tree rooted at the name passed to [`capture`]. Only the
+//! thread that called `capture` may open spans (the rayon shim runs
 //! `ThreadPool::install` closures on the calling thread, so pipeline stages
 //! always satisfy this); worker threads contribute counters only. A collected
 //! tree serializes to a versioned JSON document (schema
@@ -29,9 +39,8 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::ThreadId;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use serde::value::Number;
@@ -45,29 +54,22 @@ pub const TRACE_SCHEMA_VERSION: u32 = 1;
 // Registry state
 // ---------------------------------------------------------------------------
 
-/// Fast-path gate: checked (relaxed) before any other work.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Captures running anywhere in the process: the disabled fast path is one
+/// relaxed load of this count. It publishes no data: a collector reaches
+/// another thread only inside a [`Scope`] handed over by a spawn or channel,
+/// which orders the count's increment before that thread's load.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Capture generation. Thread-local buffers stamp the epoch they were filled
-/// under; a stale stamp means the buffer belongs to a previous capture and is
-/// discarded instead of merged.
-static EPOCH: AtomicU64 = AtomicU64::new(1);
+#[inline]
+fn live() -> bool {
+    LIVE.load(Ordering::Relaxed) != 0
+}
 
-/// Counter deltas flushed by worker threads, awaiting attribution to the
-/// innermost open span. `(name, delta, runtime)`.
-static PENDING: Mutex<Vec<(&'static str, u64, bool)>> = Mutex::new(Vec::new());
-
-/// The open-span stack. `None` while no capture is active.
-static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
-
-/// Serializes whole captures (used by `capture`, and so by tests that must
-/// not see each other's counters).
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
-
+#[derive(Clone)]
 struct OpenSpan {
     name: Cow<'static, str>,
     start: Instant,
-    counters: Vec<(String, u64, bool)>,
+    counters: Vec<Counter>,
     children: Vec<Span>,
 }
 
@@ -81,177 +83,216 @@ impl OpenSpan {
         }
     }
 
-    fn add(&mut self, name: &str, delta: u64, runtime: bool) {
+    fn add(&mut self, name: Cow<'static, str>, delta: u64, runtime: bool) {
         match self
             .counters
             .iter_mut()
-            .find(|(n, _, r)| n == name && *r == runtime)
+            .find(|c| c.name == name && c.runtime == runtime)
         {
-            Some((_, v, _)) => *v += delta,
-            None => self.counters.push((name.to_string(), delta, runtime)),
+            Some(c) => c.value += delta,
+            None => self.counters.push(Counter {
+                name: name.into_owned(),
+                value: delta,
+                runtime,
+            }),
         }
     }
 
-    fn close(self) -> Span {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
-        self.finish_with(dur_ns)
-    }
-
-    /// Like `close` but non-consuming (snapshots of still-open spans).
-    fn clone_open(&self) -> Span {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
-        OpenSpan {
-            name: self.name.clone(),
-            start: self.start,
-            counters: self.counters.clone(),
-            children: self.children.clone(),
-        }
-        .finish_with(dur_ns)
-    }
-
-    fn finish_with(mut self, dur_ns: u64) -> Span {
+    fn close(mut self) -> Span {
         self.counters
-            .sort_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
+            .sort_by(|a, b| a.name.cmp(&b.name).then(a.runtime.cmp(&b.runtime)));
         Span {
             name: self.name.into_owned(),
-            dur_ns,
-            counters: self
-                .counters
-                .into_iter()
-                .map(|(name, value, runtime)| Counter {
-                    name,
-                    value,
-                    runtime,
-                })
-                .collect(),
+            dur_ns: self.start.elapsed().as_nanos() as u64,
+            counters: self.counters,
             children: self.children,
         }
     }
 }
 
-struct Recorder {
-    owner: ThreadId,
-    stack: Vec<OpenSpan>,
+/// One capture's open spans, root first. Shared by every thread that enters
+/// the capture's [`Scope`]; emptied when the capture finishes, so merges
+/// arriving later are dropped.
+struct Collector {
+    stack: Mutex<Vec<OpenSpan>>,
 }
 
-thread_local! {
-    static LOCAL: RefCell<LocalBuf> = const {
-        RefCell::new(LocalBuf { epoch: 0, entries: Vec::new() })
-    };
-}
-
-struct LocalBuf {
-    epoch: u64,
-    entries: Vec<(&'static str, u64, bool)>,
-}
-
-fn lock_capture() -> std::sync::MutexGuard<'static, ()> {
-    // A panic inside a captured closure poisons the lock; the lock only
-    // serializes captures, so recovery is always safe.
-    CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn lock_pending() -> std::sync::MutexGuard<'static, Vec<(&'static str, u64, bool)>> {
-    PENDING.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn lock_recorder() -> std::sync::MutexGuard<'static, Option<Recorder>> {
-    RECORDER.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn drain_pending_into_top(rec: &mut Recorder) {
-    let mut pending = lock_pending();
-    if pending.is_empty() {
-        return;
+impl Collector {
+    fn lock(&self) -> MutexGuard<'_, Vec<OpenSpan>> {
+        // A panic inside a captured closure can poison the lock; every
+        // critical section leaves the stack consistent, so recovery is safe.
+        self.stack.lock().unwrap_or_else(|p| p.into_inner())
     }
-    if let Some(top) = rec.stack.last_mut() {
-        for (name, delta, runtime) in pending.drain(..) {
-            top.add(name, delta, runtime);
-        }
-    } else {
-        pending.clear();
+
+    /// Close every span still open, innermost first, and leave the stack
+    /// empty.
+    fn finish(&self) -> Option<Trace> {
+        let stack = std::mem::take(&mut *self.lock());
+        nest(stack.into_iter().map(OpenSpan::close).collect())
+    }
+
+    /// Non-destructive [`Collector::finish`].
+    fn snapshot(&self) -> Option<Trace> {
+        nest(self.lock().iter().cloned().map(OpenSpan::close).collect())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Public recording API
-// ---------------------------------------------------------------------------
-
-/// Whether a capture is currently active. Use to gate counter *computations*
-/// whose value is itself costly (e.g. a mask popcount); plain [`counter`]
-/// calls self-gate and do not need this.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Begin collecting under a root span. Any capture already active is
-/// discarded. Only the calling thread may subsequently open spans.
-pub fn start(root: &'static str) {
-    let _ = finish();
-    EPOCH.fetch_add(1, Ordering::SeqCst);
-    lock_pending().clear();
-    *lock_recorder() = Some(Recorder {
-        owner: std::thread::current().id(),
-        stack: vec![OpenSpan::new(Cow::Borrowed(root))],
-    });
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Stop collecting and return the span tree, or `None` if no capture was
-/// active. Spans still open (guards not yet dropped) are closed bottom-up.
-pub fn finish() -> Option<Trace> {
-    if !is_enabled() {
-        return None;
-    }
-    flush();
-    let mut guard = lock_recorder();
-    ENABLED.store(false, Ordering::SeqCst);
-    let mut rec = guard.take()?;
-    drop(guard);
-    drain_pending_into_top(&mut rec);
-    let mut closed: Option<Span> = None;
-    while let Some(open) = rec.stack.pop() {
-        let mut span = open.close();
-        if let Some(child) = closed.take() {
-            span.children.push(child);
-        }
-        closed = Some(span);
-    }
-    closed.map(|root| Trace {
+/// Fold a root-first chain of spans into a tree: each span becomes the last
+/// child of the one before it.
+fn nest(chain: Vec<Span>) -> Option<Trace> {
+    let root = chain.into_iter().rev().reduce(|child, mut parent| {
+        parent.children.push(child);
+        parent
+    })?;
+    Some(Trace {
         schema: TRACE_SCHEMA_VERSION,
         mode: TraceMode::Full,
         root,
     })
 }
 
+/// This thread's recording state.
+struct Local {
+    /// The collector this thread records into, if any.
+    scope: Option<Arc<Collector>>,
+    /// Whether this thread called [`capture`] for `scope` (and so may open
+    /// spans).
+    owner: bool,
+    /// Counter deltas not yet merged into `scope`: `(name, delta, runtime)`.
+    entries: Vec<(Cow<'static, str>, u64, bool)>,
+}
+
+impl Local {
+    /// Merge the buffered deltas into the innermost open span of this
+    /// thread's collector.
+    fn merge(&mut self) {
+        if self.entries.is_empty() {
+            return;
+        }
+        if let Some(c) = &self.scope {
+            if let Some(top) = c.lock().last_mut() {
+                for (name, delta, runtime) in self.entries.drain(..) {
+                    top.add(name, delta, runtime);
+                }
+            }
+        }
+        self.entries.clear();
+    }
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local { scope: None, owner: false, entries: Vec::new() })
+    };
+}
+
+/// Make `collector` this thread's recording target until the guard drops.
+fn install(collector: &Arc<Collector>, owner: bool) -> ScopeGuard {
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        l.merge();
+        let scope = l.scope.replace(Arc::clone(collector));
+        let owner = std::mem::replace(&mut l.owner, owner);
+        ScopeGuard(Some((scope, owner)))
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Public recording API
+// ---------------------------------------------------------------------------
+
+/// Whether the calling thread records into a capture. Use to gate counter
+/// *computations* whose value is itself costly (e.g. a mask popcount); plain
+/// [`counter`] calls self-gate and do not need this.
+#[inline]
+pub fn is_enabled() -> bool {
+    live() && LOCAL.with(|l| l.borrow().scope.is_some())
+}
+
 /// Run `f` under a fresh capture rooted at `root` and return its result with
-/// the collected trace. Captures are globally serialized, so concurrently
-/// running tests cannot pollute each other's counters. If `f` panics, the
-/// capture is torn down before the panic propagates.
+/// the collected trace. The capture records the calling thread and every
+/// thread that enters its [`Scope`] while `f` runs; captures on other threads
+/// run concurrently without seeing each other. Spans still open when `f`
+/// returns are closed bottom-up. Nests: an enclosing capture on this thread
+/// resumes when this one ends.
 pub fn capture<R>(root: &'static str, f: impl FnOnce() -> R) -> (R, Trace) {
-    let _serialize = lock_capture();
-    struct TearDown;
-    impl Drop for TearDown {
+    struct Live;
+    impl Drop for Live {
         fn drop(&mut self) {
-            let _ = finish();
+            LIVE.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    let armed = TearDown;
-    start(root);
-    let result = f();
-    std::mem::forget(armed);
-    let trace = finish().expect("capture was active");
+    let collector = Arc::new(Collector {
+        stack: Mutex::new(vec![OpenSpan::new(Cow::Borrowed(root))]),
+    });
+    LIVE.fetch_add(1, Ordering::Relaxed);
+    let _live = Live;
+    let result = {
+        let _installed = install(&collector, true);
+        f()
+    };
+    let trace = collector.finish().expect("capture holds its root span");
     (result, trace)
 }
 
+/// Handle to the capture the calling thread records into (or to none).
+/// Cheap to clone and `Send`: carry it to the threads a work unit fans out
+/// to and [`Scope::enter`] it there, so their counters land in this capture.
+#[derive(Clone)]
+pub struct Scope(Option<Arc<Collector>>);
+
+/// The calling thread's [`Scope`]; empty when it records into no capture.
+#[inline]
+pub fn current() -> Scope {
+    if !live() {
+        return Scope(None);
+    }
+    Scope(LOCAL.with(|l| l.borrow().scope.clone()))
+}
+
+impl Scope {
+    /// Record this thread's counters into the scope's capture until the
+    /// guard drops; the drop merges them into the capture's innermost open
+    /// span. Declare the guard first in a work unit so it drops last.
+    /// Inert for an empty scope, or when this thread already records into
+    /// the same capture (a fan-out that ran inline on the capturing thread).
+    pub fn enter(&self) -> ScopeGuard {
+        let Some(c) = &self.0 else {
+            return ScopeGuard(None);
+        };
+        let here = LOCAL.with(|l| l.borrow().scope.as_ref().is_some_and(|s| Arc::ptr_eq(s, c)));
+        if here {
+            ScopeGuard(None)
+        } else {
+            install(c, false)
+        }
+    }
+}
+
+/// Leaves a [`Scope`] on drop, merging this thread's counters into it and
+/// restoring whatever the thread recorded into before.
+#[must_use = "dropping the guard immediately leaves the scope"]
+pub struct ScopeGuard(Option<(Option<Arc<Collector>>, bool)>);
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        if let Some((scope, owner)) = self.0.take() {
+            LOCAL.with(|l| {
+                let mut l = l.borrow_mut();
+                l.merge();
+                l.scope = scope;
+                l.owner = owner;
+            });
+        }
+    }
+}
+
 /// Open a timed span. The returned guard closes it on drop. Inert (and
-/// branch-cheap) when no capture is active or when called from a thread other
-/// than the one that called [`start`].
+/// branch-cheap) unless the calling thread is the one running [`capture`].
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { active: false };
+    if !live() {
+        return SpanGuard(None);
     }
     span_open(Cow::Borrowed(name))
 }
@@ -260,54 +301,45 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// [`span`] anywhere the name is known at compile time.
 #[inline]
 pub fn span_dyn(name: String) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { active: false };
+    if !live() {
+        return SpanGuard(None);
     }
     span_open(Cow::Owned(name))
 }
 
 fn span_open(name: Cow<'static, str>) -> SpanGuard {
-    flush();
-    let mut guard = lock_recorder();
-    let Some(rec) = guard.as_mut() else {
-        return SpanGuard { active: false };
-    };
-    if rec.owner != std::thread::current().id() {
-        return SpanGuard { active: false };
-    }
-    drain_pending_into_top(rec);
-    rec.stack.push(OpenSpan::new(name));
-    SpanGuard { active: true }
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if !l.owner {
+            return SpanGuard(None);
+        }
+        l.merge();
+        let c = l.scope.clone().expect("an owner thread has a scope");
+        c.lock().push(OpenSpan::new(name));
+        SpanGuard(Some(c))
+    })
 }
 
 /// Closes its span on drop. Obtain via [`span`]/[`span_dyn`] or the
 /// [`obs_span!`] macro.
 #[must_use = "dropping the guard immediately closes the span"]
-pub struct SpanGuard {
-    active: bool,
-}
+pub struct SpanGuard(Option<Arc<Collector>>);
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active || !is_enabled() {
-            // `finish()` may have already closed everything this guard covers.
-            return;
+        let Some(c) = self.0.take() else { return };
+        LOCAL.with(|l| l.borrow_mut().merge());
+        let mut stack = c.lock();
+        // The root span belongs to `capture`; depth 1 (or 0, once finished)
+        // means this guard outlived the capture that opened it.
+        if stack.len() > 1 {
+            let span = stack.pop().expect("stack depth checked above").close();
+            stack
+                .last_mut()
+                .expect("stack depth checked above")
+                .children
+                .push(span);
         }
-        flush();
-        let mut guard = lock_recorder();
-        let Some(rec) = guard.as_mut() else { return };
-        drain_pending_into_top(rec);
-        // The root span belongs to `finish()`; stack depth 1 means this guard
-        // outlived the capture that opened it.
-        if rec.stack.len() <= 1 {
-            return;
-        }
-        let span = rec.stack.pop().expect("stack depth checked above").close();
-        rec.stack
-            .last_mut()
-            .expect("stack depth checked above")
-            .children
-            .push(span);
     }
 }
 
@@ -323,130 +355,63 @@ macro_rules! obs_span {
 /// Add to a **deterministic** counter: its value must depend only on inputs,
 /// never on scheduling. Deterministic counters survive
 /// [`Trace::to_stable`] and are pinned byte-identical across thread counts by
-/// the observability tests. Buffered thread-locally; merged when the
-/// innermost open span closes (worker threads must [`flush`] at work-unit
-/// end, most easily via [`flush_guard`]).
+/// the observability tests. Buffered thread-locally; merged when this thread
+/// opens or closes a span or leaves its [`Scope`].
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
-    if !is_enabled() {
-        return;
+    if live() {
+        record(Cow::Borrowed(name), delta, false);
     }
-    add_local(name, delta, false);
 }
 
 /// Add to a **runtime** counter: scheduling-dependent values (pool hits,
 /// wait times). Stripped by [`Trace::to_stable`].
 #[inline]
 pub fn counter_runtime(name: &'static str, delta: u64) {
-    if !is_enabled() {
-        return;
+    if live() {
+        record(Cow::Borrowed(name), delta, true);
     }
-    add_local(name, delta, true);
 }
 
 /// [`counter_runtime`] with a runtime-built name (e.g. a per-tenant label
-/// like `serve.tenant.3.rejected`). Names are interned for the process
-/// lifetime, so use bounded name sets (tenant ids, shard ids) — not
-/// unbounded ones (request ids). Prefer [`counter_runtime`] anywhere the
-/// name is known at compile time.
+/// like `serve.tenant.3.rejected`). The name lives only in the capture's own
+/// buffers and span tree, so nothing outlives the capture. Prefer
+/// [`counter_runtime`] anywhere the name is known at compile time.
 pub fn counter_runtime_dyn(name: String, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    add_local(intern(name), delta, true);
-}
-
-/// Process-lifetime intern table backing [`counter_runtime_dyn`]: the
-/// counter buffers key by `&'static str`, so each distinct dynamic name is
-/// leaked exactly once and reused thereafter.
-fn intern(name: String) -> &'static str {
-    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut table = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
-    match table.iter().find(|n| **n == name) {
-        Some(n) => n,
-        None => {
-            let leaked: &'static str = Box::leak(name.into_boxed_str());
-            table.push(leaked);
-            leaked
-        }
+    if live() {
+        record(Cow::Owned(name), delta, true);
     }
 }
 
-fn add_local(name: &'static str, delta: u64, runtime: bool) {
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if buf.epoch != epoch {
-            buf.epoch = epoch;
-            buf.entries.clear();
+fn record(name: Cow<'static, str>, delta: u64, runtime: bool) {
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if l.scope.is_none() {
+            return;
         }
-        match buf
+        match l
             .entries
             .iter_mut()
             .find(|(n, _, r)| *n == name && *r == runtime)
         {
             Some((_, v, _)) => *v += delta,
-            None => buf.entries.push((name, delta, runtime)),
+            None => l.entries.push((name, delta, runtime)),
         }
     });
 }
 
-/// Publish this thread's buffered counters for merging into the current
-/// span. Worker threads call this (or drop a [`flush_guard`]) at the end of
-/// each parallel work unit; span guards flush the owner thread automatically.
-pub fn flush() {
-    if !is_enabled() {
-        return;
-    }
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if buf.epoch != epoch || buf.entries.is_empty() {
-            return;
-        }
-        lock_pending().extend(buf.entries.drain(..));
-    });
-}
-
-/// Calls [`flush`] on drop. Declare first in a parallel closure so it runs
-/// after everything else in the closure (drop order is reverse declaration):
-/// `let _flush = obs::flush_guard();`
-pub fn flush_guard() -> FlushGuard {
-    FlushGuard
-}
-
-pub struct FlushGuard;
-
-impl Drop for FlushGuard {
-    fn drop(&mut self) {
-        flush();
-    }
-}
-
-/// Non-destructive snapshot of the capture so far: still-open spans appear
-/// with their elapsed-so-far durations. Buffered counters are attributed to
-/// the innermost open span (where they would land anyway). `None` if no
-/// capture is active.
+/// Non-destructive snapshot of the calling thread's capture so far:
+/// still-open spans appear with their elapsed-so-far durations, and this
+/// thread's buffered counters are merged first (where they would land
+/// anyway). `None` if the thread records into no capture.
 pub fn snapshot() -> Option<Trace> {
-    if !is_enabled() {
+    if !live() {
         return None;
     }
-    flush();
-    let mut guard = lock_recorder();
-    let rec = guard.as_mut()?;
-    drain_pending_into_top(rec);
-    let mut closed: Option<Span> = None;
-    for open in rec.stack.iter().rev() {
-        let mut span = open.clone_open();
-        if let Some(child) = closed.take() {
-            span.children.push(child);
-        }
-        closed = Some(span);
-    }
-    closed.map(|root| Trace {
-        schema: TRACE_SCHEMA_VERSION,
-        mode: TraceMode::Full,
-        root,
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        l.merge();
+        l.scope.as_ref()?.snapshot()
     })
 }
 
@@ -626,80 +591,66 @@ impl Trace {
         let value =
             serde_json::parse_value(text).map_err(|e| TraceError(format!("bad JSON: {e}")))?;
         let pairs = expect_keys(&value, "trace", &["trace_schema", "mode", "root"])?;
-        let schema = pairs[0]
-            .1
-            .as_u64()
-            .ok_or_else(|| TraceError("trace_schema must be an unsigned integer".into()))?;
+        let schema = as_u64(&pairs[0].1, "trace_schema")?;
         if schema > TRACE_SCHEMA_VERSION as u64 {
             return Err(TraceError(format!(
                 "trace schema {schema} is newer than supported {TRACE_SCHEMA_VERSION}"
             )));
         }
-        let mode_str = pairs[1]
-            .1
-            .as_str()
-            .ok_or_else(|| TraceError("mode must be a string".into()))?;
+        let mode_str = as_str(&pairs[1].1, "mode")?;
         let mode = TraceMode::parse(mode_str)
             .ok_or_else(|| TraceError(format!("unknown trace mode `{mode_str}`")))?;
-        let root = Self::span_from_value(&pairs[2].1)?;
         Ok(Trace {
             schema: schema as u32,
             mode,
-            root,
+            root: Self::span_from_value(&pairs[2].1)?,
         })
     }
 
     fn span_from_value(v: &Value) -> Result<Span, TraceError> {
         let pairs = expect_keys(v, "span", &["name", "dur_ns", "counters", "children"])?;
-        let name = pairs[0]
-            .1
-            .as_str()
-            .ok_or_else(|| TraceError("span name must be a string".into()))?
-            .to_string();
-        let dur_ns = pairs[1]
-            .1
-            .as_u64()
-            .ok_or_else(|| TraceError("dur_ns must be an unsigned integer".into()))?;
-        let counters = pairs[2]
-            .1
-            .as_array()
-            .ok_or_else(|| TraceError("counters must be an array".into()))?
-            .iter()
-            .map(Self::counter_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let children = pairs[3]
-            .1
-            .as_array()
-            .ok_or_else(|| TraceError("children must be an array".into()))?
-            .iter()
-            .map(Self::span_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Span {
-            name,
-            dur_ns,
-            counters,
-            children,
+            name: as_str(&pairs[0].1, "span name")?.to_string(),
+            dur_ns: as_u64(&pairs[1].1, "dur_ns")?,
+            counters: as_vec(&pairs[2].1, "counters", Self::counter_from_value)?,
+            children: as_vec(&pairs[3].1, "children", Self::span_from_value)?,
         })
     }
 
     fn counter_from_value(v: &Value) -> Result<Counter, TraceError> {
         let pairs = expect_keys(v, "counter", &["name", "value", "runtime"])?;
         Ok(Counter {
-            name: pairs[0]
-                .1
-                .as_str()
-                .ok_or_else(|| TraceError("counter name must be a string".into()))?
-                .to_string(),
-            value: pairs[1]
-                .1
-                .as_u64()
-                .ok_or_else(|| TraceError("counter value must be an unsigned integer".into()))?,
+            name: as_str(&pairs[0].1, "counter name")?.to_string(),
+            value: as_u64(&pairs[1].1, "counter value")?,
             runtime: pairs[2]
                 .1
                 .as_bool()
                 .ok_or_else(|| TraceError("counter runtime must be a bool".into()))?,
         })
     }
+}
+
+/// Typed field readers for the strict parser; errors name the field.
+fn as_u64(v: &Value, what: &str) -> Result<u64, TraceError> {
+    v.as_u64()
+        .ok_or_else(|| TraceError(format!("{what} must be an unsigned integer")))
+}
+
+fn as_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, TraceError> {
+    v.as_str()
+        .ok_or_else(|| TraceError(format!("{what} must be a string")))
+}
+
+fn as_vec<T>(
+    v: &Value,
+    what: &str,
+    item: fn(&Value) -> Result<T, TraceError>,
+) -> Result<Vec<T>, TraceError> {
+    v.as_array()
+        .ok_or_else(|| TraceError(format!("{what} must be an array")))?
+        .iter()
+        .map(item)
+        .collect()
 }
 
 /// Require `v` to be an object with exactly `keys`, in exactly that order.
@@ -817,10 +768,10 @@ mod tests {
         assert!(!is_enabled());
         counter("nope", 1);
         counter_runtime("nope", 1);
-        flush();
         let _g = span("nope");
         drop(_g);
-        assert!(finish().is_none());
+        let _s = current().enter();
+        assert!(!is_enabled());
         assert!(snapshot().is_none());
     }
 
@@ -856,10 +807,12 @@ mod tests {
     fn worker_thread_counters_merge_into_enclosing_span() {
         let ((), trace) = capture("root", || {
             let _s = span("par");
-            std::thread::scope(|scope| {
+            let scope = current();
+            std::thread::scope(|s| {
                 for _ in 0..4 {
-                    scope.spawn(|| {
-                        let _flush = flush_guard();
+                    s.spawn(|| {
+                        let _obs = scope.enter();
+                        assert!(is_enabled());
                         counter("units", 1);
                     });
                 }
@@ -872,17 +825,121 @@ mod tests {
     #[test]
     fn worker_threads_cannot_open_spans() {
         let ((), trace) = capture("root", || {
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
+            let scope = current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _obs = scope.enter();
                     let _s = span("worker-span");
                     counter("c", 1);
-                    flush();
                 });
             });
         });
         assert!(trace.root.find("worker-span").is_none());
         // The counter still lands (on the root).
         assert_eq!(trace.root.counter("c"), Some(1));
+    }
+
+    #[test]
+    fn workers_that_do_not_enter_the_scope_contribute_nothing() {
+        let ((), trace) = capture("root", || {
+            let _s = span("par");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(!is_enabled());
+                    counter("stray", 1);
+                    counter_runtime_dyn("stray.dyn".to_string(), 1);
+                    let _s = span("stray-span");
+                });
+            });
+            counter("own", 1);
+        });
+        let par = trace.root.find("par").expect("par span");
+        assert_eq!(par.counter("own"), Some(1));
+        assert_eq!(par.counter("stray"), None);
+        assert_eq!(par.counter("stray.dyn"), None);
+        assert!(trace.root.find("stray-span").is_none());
+    }
+
+    #[test]
+    fn concurrent_captures_and_uncaptured_work_stay_apart() {
+        // Both captures are live, and the uncaptured thread works, between
+        // the two barrier waits.
+        let both_live = std::sync::Barrier::new(3);
+        let run = |tag: &'static str| {
+            capture("root", || {
+                let _s = span(tag);
+                counter(tag, 1);
+                both_live.wait();
+                let scope = current();
+                std::thread::scope(|s| {
+                    for _ in 0..2 {
+                        s.spawn(|| {
+                            let _obs = scope.enter();
+                            counter(tag, 1);
+                            counter_runtime_dyn(format!("{tag}.dyn"), 1);
+                        });
+                    }
+                });
+                both_live.wait();
+            })
+            .1
+        };
+        let (a, b, seen) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("a"));
+            let b = s.spawn(|| run("b"));
+            both_live.wait();
+            let _s = span("noise");
+            counter("noise", 1);
+            counter_runtime_dyn("noise.dyn".to_string(), 1);
+            let seen = (is_enabled(), snapshot().is_none());
+            both_live.wait();
+            (a.join().unwrap(), b.join().unwrap(), seen)
+        });
+        assert_eq!(seen, (false, true));
+        for (tag, trace) in [("a", a), ("b", b)] {
+            assert_eq!(trace.root.children.len(), 1, "{tag}: {trace:?}");
+            let stage = trace.root.find(tag).expect("own span");
+            assert_eq!(stage.counters.len(), 2, "{tag}: {trace:?}");
+            assert_eq!(stage.counter(tag), Some(3));
+            assert_eq!(stage.counter(&format!("{tag}.dyn")), Some(2));
+        }
+    }
+
+    #[test]
+    fn uncaptured_thread_sees_nothing_while_another_capture_is_live() {
+        use std::sync::mpsc;
+        let (live_tx, live_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let capturing = std::thread::spawn(move || {
+            capture("other", || {
+                counter("other", 1);
+                live_tx.send(()).unwrap();
+                let _ = done_rx.recv();
+            })
+            .1
+        });
+        live_rx.recv().unwrap();
+        let seen = (is_enabled(), snapshot().is_none(), current().0.is_none());
+        counter("mine", 1);
+        drop(done_tx);
+        let trace = capturing.join().unwrap();
+        assert_eq!(seen, (false, true, true));
+        assert_eq!(trace.root.counter("other"), Some(1));
+        assert_eq!(trace.root.counter("mine"), None);
+    }
+
+    #[test]
+    fn nested_capture_restores_the_outer_one() {
+        let ((), outer) = capture("outer", || {
+            counter("before", 1);
+            let ((), inner) = capture("inner", || counter("inside", 1));
+            assert_eq!(inner.root.counter("inside"), Some(1));
+            assert_eq!(inner.root.counter("before"), None);
+            counter("after", 1);
+        });
+        assert_eq!(outer.root.counter("before"), Some(1));
+        assert_eq!(outer.root.counter("after"), Some(1));
+        assert_eq!(outer.root.counter("inside"), None);
     }
 
     #[test]

@@ -125,17 +125,17 @@ impl Renderer {
         let _span = ifet_obs::span("render.raycast");
         let mut img = Image::new(w, h);
         let p = self.params;
-        let d = vol.dims();
         let (tlo, thi) = tf.domain();
         let light = camera.view_dir(); // headlight
         let corr = corrected_table(tf, p.opacity_scale, p.step);
         let overlay_corr = overlay_tf.map(|otf| corrected_table(otf, p.opacity_scale, p.step));
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let scope = ifet_obs::current();
         rows.into_par_iter().for_each(|(py, row)| {
             // Workers may not open spans; per-scanline work is reported as
-            // deterministic counters flushed when each row finishes.
-            let _flush = ifet_obs::flush_guard();
+            // deterministic counters merged when each row finishes.
+            let _obs = scope.enter();
             for px in 0..w {
                 let (origin, dir) = camera.ray(px, py, w, h);
                 let rgb = self.trace(
@@ -159,8 +159,6 @@ impl Renderer {
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
         });
-
-        let _ = (d, p);
         img
     }
 
@@ -303,8 +301,9 @@ impl Renderer {
         let light = camera.view_dir();
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let scope = ifet_obs::current();
         rows.into_par_iter().for_each(|(py, row)| {
-            let _flush = ifet_obs::flush_guard();
+            let _obs = scope.enter();
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
             let packet = p.packet_size();
@@ -395,8 +394,9 @@ impl Renderer {
         let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let scope = ifet_obs::current();
         rows.into_par_iter().for_each(|(py, row)| {
-            let _flush = ifet_obs::flush_guard();
+            let _obs = scope.enter();
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
             let packet = p.packet_size();

@@ -39,6 +39,8 @@ pub(crate) enum JobOut {
 pub(crate) struct Job {
     session: Arc<SharedSession>,
     kind: JobKind,
+    /// The submitter's obs scope: the job's counters belong to its capture.
+    scope: obs::Scope,
     reply: mpsc::Sender<Result<JobOut, ServeError>>,
 }
 
@@ -91,6 +93,7 @@ impl Batcher {
             q.jobs.push_back(Job {
                 session,
                 kind,
+                scope: obs::current(),
                 reply: tx,
             });
             cv.notify_one();
@@ -136,44 +139,34 @@ fn worker_loop(shared: &(Mutex<Queue>, Condvar), counters: &BatchCounters) {
         };
 
         // Group by artifact, preserving first-arrival order of groups and
-        // arrival order within each group, so same-artifact jobs run
-        // back-to-back against warm predictor pools and resident frames.
-        let mut order: Vec<&str> = Vec::new();
-        for job in &batch {
-            if !order.iter().any(|k| *k == job.session.key()) {
-                order.push(job.session.key());
-            }
-        }
-        let order: Vec<String> = order.into_iter().map(String::from).collect();
-
+        // arrival order within each group (the sort is stable), so
+        // same-artifact jobs run back-to-back against warm predictor pools
+        // and resident frames.
         let njobs = batch.len() as u64;
-        let mut rows = 0u64;
-        let mut jobs: Vec<Option<Job>> = batch.into_iter().map(Some).collect();
-        for key in &order {
-            for slot in jobs.iter_mut() {
-                let belongs = slot
-                    .as_ref()
-                    .is_some_and(|j| j.session.key() == key.as_str());
-                if !belongs {
-                    continue;
-                }
-                let job = slot.take().expect("slot checked non-empty");
-                rows += run_job(job);
-            }
+        let mut groups: Vec<String> = Vec::new();
+        let mut ranked: Vec<(usize, Job)> = Vec::with_capacity(batch.len());
+        for job in batch {
+            let key = job.session.key();
+            let rank = groups.iter().position(|k| k == key).unwrap_or_else(|| {
+                groups.push(key.to_string());
+                groups.len() - 1
+            });
+            ranked.push((rank, job));
         }
+        ranked.sort_by_key(|(rank, _)| *rank);
+        let rows: u64 = ranked.into_iter().map(|(_, job)| run_job(job)).sum();
 
         counters.cycles.fetch_add(1, Ordering::Relaxed);
         counters.jobs.fetch_add(njobs, Ordering::Relaxed);
         counters.rows.fetch_add(rows, Ordering::Relaxed);
-        obs::counter_runtime("serve.batch.cycles", 1);
-        obs::counter_runtime("serve.batch.jobs", njobs);
-        obs::counter_runtime("serve.batch.rows", rows);
-        obs::flush();
     }
 }
 
 /// Execute one job and send its reply; returns the MLP rows it consumed.
+/// The job's counters merge into the submitter's capture before the reply
+/// goes out, while the submitter is still blocked waiting for it.
 fn run_job(job: Job) -> u64 {
+    let obs_scope = job.scope.enter();
     let session = job.session.session();
     let (result, rows) = match job.kind {
         JobKind::Classify { step, tau } => match session.try_extract_data_space(step, tau) {
@@ -209,6 +202,7 @@ fn run_job(job: Job) -> u64 {
             ),
         },
     };
+    drop(obs_scope);
     let _ = job.reply.send(result);
     rows
 }

@@ -229,14 +229,18 @@ pub fn serve_unix(path: &Path, engine: &ServeEngine, opts: ServerOpts) -> std::i
     } else {
         opts.workers
     };
+    // Requests record into the capture (if any) that runs the server.
+    let scope = ifet_obs::current();
     let workers: Vec<_> = (0..n_workers)
         .map(|k| {
             let pool = Arc::clone(&pool);
             let engine = engine.clone();
+            let scope = scope.clone();
             std::thread::Builder::new()
                 .name(format!("ifet-serve-worker-{k}"))
                 .spawn(move || {
                     while let Some((tx, req)) = pool.next_job() {
+                        let _obs = scope.enter();
                         // Replies go out in completion order; the writer
                         // balances the reader's admit. A send to a closed
                         // channel means the connection is already torn down.

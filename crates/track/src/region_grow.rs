@@ -357,9 +357,10 @@ impl Grower {
         let d = self.d;
         let n_frames = self.states.len();
         let tables = &self.tables;
+        let scope = obs::current();
         self.states.par_iter_mut().enumerate().for_each(|(fi, st)| {
-            // Declared first so the flush runs after the per-frame work.
-            let _flush = obs::flush_guard();
+            // Declared first so the scope is left after the per-frame work.
+            let _obs = scope.enter();
             let table = &tables[fi];
             let frontier = std::mem::take(&mut st.frontier);
             for &i in &frontier {

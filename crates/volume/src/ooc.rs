@@ -21,6 +21,15 @@
 //! reserved space but not yet committed) count against the budget, so the
 //! high-water marks are honest even while the prefetch worker is mid-read.
 //!
+//! The bound covers *accounted* memory: frames resident in some member's
+//! cache plus reads in flight. A frame handed out by [`OutOfCoreSeries::frame`]
+//! (or a `FrameHandle` over it) is an `Arc` that stays alive after eviction
+//! until its holder drops it, and is no longer charged. A caller walking a
+//! series through `map_frames_windowed` holds at most one window of handles,
+//! so actual memory can exceed the bound by at most one window per
+//! concurrent walker. When a series is dropped, its resident frames leave
+//! the budget with it.
+//!
 //! # Prefetch
 //!
 //! [`OutOfCoreSeries::set_prefetch`] starts a background `std::thread` that
@@ -802,8 +811,28 @@ impl Inner {
     }
 }
 
+impl Drop for Inner {
+    /// Return this series' resident frames to the (possibly shared) budget:
+    /// once the series' `Weak` is dead, eviction can no longer reach them.
+    /// The prefetch worker has stopped, so nothing is in flight.
+    fn drop(&mut self) {
+        let b = &self.budget.0;
+        let mut st = b.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut c = self.sc.cache.lock().unwrap_or_else(|e| e.into_inner());
+        // Saturating: a drop must not panic, even during an unwind.
+        st.resident_frames = st.resident_frames.saturating_sub(c.map.len());
+        st.resident_bytes = st.resident_bytes.saturating_sub(c.stats.resident_bytes);
+        let g = st.group_mut(self.sc.group.load(Ordering::Relaxed));
+        g.resident_bytes = g.resident_bytes.saturating_sub(c.stats.resident_bytes);
+        *c = Cache::new();
+        drop((c, st));
+        b.cv.notify_all();
+    }
+}
+
 enum PrefetchMsg {
-    Batch(Vec<usize>),
+    /// Frames to read ahead, recorded into the requester's obs scope.
+    Batch(Vec<usize>, ifet_obs::Scope),
     Stop,
 }
 
@@ -1081,10 +1110,10 @@ impl OutOfCoreSeries {
         let handle = std::thread::Builder::new()
             .name("ifet-ooc-prefetch".into())
             .spawn(move || {
-                while let Ok(PrefetchMsg::Batch(idxs)) = rx.recv() {
-                    // Merge this thread's counter buffer after each batch so
-                    // runtime counters from the worker become visible.
-                    let _flush = ifet_obs::flush_guard();
+                while let Ok(PrefetchMsg::Batch(idxs, scope)) = rx.recv() {
+                    // Runtime counters from this batch go to the capture
+                    // that asked for it, merged when the batch is done.
+                    let _obs = scope.enter();
                     for i in idxs {
                         inner.prefetch_frame(i);
                     }
@@ -1108,7 +1137,7 @@ impl OutOfCoreSeries {
             .filter(|&i| i < self.inner.paths.len())
             .collect();
         if !batch.is_empty() {
-            let _ = w.tx.send(PrefetchMsg::Batch(batch));
+            let _ = w.tx.send(PrefetchMsg::Batch(batch, ifet_obs::current()));
         }
     }
 
@@ -1404,6 +1433,29 @@ mod tests {
         let bs = budget.stats();
         assert_eq!(bs.resident_frames, 2);
         assert!(bs.high_water_frames <= 2);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn dropping_a_series_returns_its_frames_to_the_shared_budget() {
+        let dir = tmpdir("dropped");
+        let s = sample_series();
+        let budget = CacheBudgetHandle::bytes(2 * FB);
+        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
+        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let _ = a.frame(0).unwrap();
+        let _ = a.frame(1).unwrap();
+        assert_eq!(budget.stats().resident_frames, 2);
+        drop(a);
+        let bs = budget.stats();
+        assert_eq!((bs.resident_frames, bs.resident_bytes), (0, 0));
+        for i in 0..6 {
+            assert_eq!(b.frame(i).unwrap().as_slice()[0], i as f32);
+        }
+        let bs = budget.stats();
+        assert_eq!(bs.resident_frames, 2, "b pages up to the budget");
+        assert!(bs.high_water_frames <= 2, "{bs:?}");
+        assert!(bs.high_water_bytes <= 2 * FB, "{bs:?}");
         std::fs::remove_dir_all(dir).ok();
     }
 

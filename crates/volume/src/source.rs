@@ -308,35 +308,19 @@ impl<S: FrameSource + Send + ?Sized> FrameSource for Arc<S> {
 /// at a time and results are collected in index order, the output is
 /// bit-identical for any window size, thread count, or prefetch depth — the
 /// window and the hint only change *when* a frame is resident, never what
-/// `f` computes.
+/// `f` computes. `f` runs inside the caller's [`ifet_obs::Scope`], so the
+/// counters it records land in the caller's capture.
 pub fn map_frames_windowed<S, T, F>(series: &S, f: F) -> Result<Vec<T>, SeriesError>
 where
     S: FrameSource + ?Sized,
     T: Send,
     F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
 {
-    let n = series.len();
-    let window = series.residency_bound().unwrap_or(n).max(1);
-    let steps = series.steps().to_vec();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    let mut start = 0;
-    while start < n {
-        let end = (start + window).min(n);
-        let handles = (start..end)
-            .map(|i| series.frame(i))
-            .collect::<Result<Vec<_>, _>>()?;
-        if end < n {
-            let upcoming: Vec<usize> = (end..(end + window).min(n)).collect();
-            series.prefetch_hint(&upcoming);
-        }
-        let results: Vec<T> = handles
-            .par_iter()
-            .enumerate()
-            .map(|(k, h)| f(start + k, steps[start + k], h))
-            .collect();
+    let mut out = Vec::with_capacity(series.len());
+    for_each_window(series, f, |_, results| {
         out.extend(results);
-        start = end;
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -352,9 +336,28 @@ where
     K: crate::sink::FrameSink + ?Sized,
     F: Fn(usize, u32, &ScalarVolume) -> ScalarVolume + Sync,
 {
+    for_each_window(series, f, |steps, results| {
+        for (&t, vol) in steps.iter().zip(results) {
+            sink.put(t, vol)?;
+        }
+        Ok(())
+    })
+}
+
+/// The windowed walk behind [`map_frames_windowed`] and
+/// [`map_frames_windowed_into`]: `emit` receives each window's step labels
+/// and results, in ascending order, while the window's frames are held.
+fn for_each_window<S, T, F, E>(series: &S, f: F, mut emit: E) -> Result<(), SeriesError>
+where
+    S: FrameSource + ?Sized,
+    T: Send,
+    F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
+    E: FnMut(&[u32], Vec<T>) -> Result<(), SeriesError>,
+{
     let n = series.len();
     let window = series.residency_bound().unwrap_or(n).max(1);
     let steps = series.steps().to_vec();
+    let scope = ifet_obs::current();
     let mut start = 0;
     while start < n {
         let end = (start + window).min(n);
@@ -365,14 +368,15 @@ where
             let upcoming: Vec<usize> = (end..(end + window).min(n)).collect();
             series.prefetch_hint(&upcoming);
         }
-        let results: Vec<ScalarVolume> = handles
+        let results = handles
             .par_iter()
             .enumerate()
-            .map(|(k, h)| f(start + k, steps[start + k], h))
+            .map(|(k, h)| {
+                let _obs = scope.enter();
+                f(start + k, steps[start + k], h)
+            })
             .collect();
-        for (k, vol) in results.into_iter().enumerate() {
-            sink.put(steps[start + k], vol)?;
-        }
+        emit(&steps[start..end], results)?;
         start = end;
     }
     Ok(())

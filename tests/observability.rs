@@ -5,8 +5,9 @@
 //! verbatim round-trip, corruption detected at load).
 //!
 //! Every test that executes instrumented pipeline code does so inside
-//! `obs::capture`, which serializes captures process-wide — so concurrently
-//! running tests cannot leak counters into each other's span trees.
+//! `obs::capture`. A capture records only its own thread and the workers
+//! that enter its scope, so concurrently running tests cannot leak counters
+//! into each other's span trees.
 
 use ifet_core::obs;
 use ifet_core::persist::{
