@@ -85,41 +85,6 @@ fn bench_region_grow_and_components(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_multires_tracking(c: &mut Criterion) {
-    use ifet_track::grow_4d_multires;
-    // A large-ish volume where the tracked feature is compact: the coarse
-    // pass should pay off.
-    let data = ifet_sim::turbulent_vortex(Dims3::cube(64), 2);
-    let (glo, ghi) = data.series.global_range();
-    let _ = (glo, ghi);
-    let criterion_band = FixedBandCriterion::new(0.5, 10.0, data.series.len()).unwrap();
-    let truth0 = data.truth_frame(0);
-    let (mut cx, mut cy, mut cz, mut n) = (0usize, 0usize, 0usize, 0usize);
-    for (x, y, z) in truth0.set_coords() {
-        cx += x;
-        cy += y;
-        cz += z;
-        n += 1;
-    }
-    let seeds: Vec<Seed4> = vec![(0, cx / n, cy / n, cz / n)];
-
-    let mut g = c.benchmark_group("multires_tracking");
-    g.sample_size(10);
-    g.bench_function("exact_64c", |b| {
-        b.iter(|| black_box(grow_4d(&data.series, &criterion_band, &seeds)))
-    });
-    for &factor in &[2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("multires_64c", factor),
-            &factor,
-            |b, &f| {
-                b.iter(|| black_box(grow_4d_multires(&data.series, &criterion_band, &seeds, f)))
-            },
-        );
-    }
-    g.finish();
-}
-
 fn bench_svm_vs_nn_prediction(c: &mut Criterion) {
     use ifet_nn::{Svm, SvmParams};
     // Cost per prediction: the Section 3 "cost and performance tradeoffs
@@ -153,7 +118,6 @@ criterion_group!(
     bench_mlp_forward,
     bench_octree,
     bench_region_grow_and_components,
-    bench_multires_tracking,
     bench_svm_vs_nn_prediction
 );
 criterion_main!(benches);

@@ -194,32 +194,14 @@ pub fn parse_band(s: &str) -> Result<(f32, f32), String> {
     Ok((lo, hi))
 }
 
-/// Whether a path looks like a frame file: raw `.raw` or compressed `.rawz`.
-fn is_frame_file(p: &Path) -> bool {
-    p.extension()
-        .map(|x| x == "raw" || x == "rawz")
-        .unwrap_or(false)
-}
-
-/// Sorted data-frame paths of a series directory — raw `.raw` and compressed
-/// `.rawz` frames alike (ground-truth companions written by `generate` are
-/// not data frames and are excluded).
+/// Sorted data-frame paths of a series directory (see
+/// [`ifet_volume::io::data_frame_paths`]); an empty directory is an error.
 fn frame_paths(dir: &str) -> Result<Vec<PathBuf>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {dir}: {e}"))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| is_frame_file(p))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| !n.contains("_truth"))
-                .unwrap_or(true)
-        })
-        .collect();
+    let paths = ifet_volume::io::data_frame_paths(Path::new(dir))
+        .map_err(|e| format!("cannot read {dir}: {e}"))?;
     if paths.is_empty() {
         return Err(format!("no .raw/.rawz frames in {dir}"));
     }
-    paths.sort();
     Ok(paths)
 }
 
@@ -352,23 +334,13 @@ fn ooc_summary(series: &OutOfCoreSeries) -> String {
 /// Load the `_truth` ground-truth companion frames that [`load_series`]
 /// filters out. Only `generate`d directories have them.
 fn load_truth_series(dir: &str) -> Result<TimeSeries, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {dir}: {e}"))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| is_frame_file(p))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| n.contains("_truth"))
-                .unwrap_or(false)
-        })
-        .collect();
+    let paths = ifet_volume::io::truth_frame_paths(Path::new(dir))
+        .map_err(|e| format!("cannot read {dir}: {e}"))?;
     if paths.is_empty() {
         return Err(format!(
             "no ground-truth sidecars in {dir} (was it written by `ifet generate`?)"
         ));
     }
-    paths.sort();
     read_series(&paths).map_err(|e| format!("failed to load truth series: {e}"))
 }
 

@@ -15,7 +15,7 @@
 //!                 tag     8 bytes, ASCII, space-padded
 //!                 offset  u64 LE (absolute, from file start)
 //!                 length  u64 LE
-//!                 crc32   u32 LE (IEEE, over the payload bytes)
+//!                 crc32   u32 LE (over the payload bytes)
 //! 16+28N  4     header crc32          (u32 LE, over bytes [0, 16+28N))
 //! ...           section payloads, contiguous, in table order
 //! ```
@@ -26,7 +26,8 @@
 //! compatibility: a newer writer can add sections without breaking old
 //! readers), reject unknown *versions*, and verify both the header and every
 //! section checksum — truncation and bit flips surface as typed
-//! [`PersistError`]s, never panics.
+//! [`PersistError`]s, never panics. The CRC-32 and the bounds-checked field
+//! reads are the shared ones of [`ifet_volume::framing`].
 
 use crate::session::{CompletedTrack, CriterionSpec, PendingTrack, TrackResult, VisSession};
 use ifet_extract::paint::PaintSet;
@@ -34,11 +35,11 @@ use ifet_extract::{ClassifierSnapshot, DataSpaceClassifier, SnapshotError};
 use ifet_obs as obs;
 use ifet_tf::{ColorMap, Iatf, IatfParams, TransferFunction1D};
 use ifet_track::{track_events, GrowCheckpoint, GrowError, Seed4, TrackReport};
+use ifet_volume::framing::{crc32, Reader, Shortfall};
 use ifet_volume::maskio::{decode_mask, encode_mask_into, MaskIoError};
 use ifet_volume::{FrameSource, Mask3};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// File magic: first eight bytes of every session artifact.
 pub const SESSION_MAGIC: [u8; 8] = *b"IFETSESS";
@@ -189,31 +190,20 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// A fixed-size header read past the end of the artifact.
+impl From<Shortfall> for PersistError {
+    fn from(s: Shortfall) -> Self {
+        PersistError::TruncatedHeader {
+            needed: s.at + s.need,
+            got: s.len,
+        }
+    }
+}
+
 impl From<SnapshotError> for PersistError {
     fn from(e: SnapshotError) -> Self {
         PersistError::Snapshot(e)
     }
-}
-
-// ---- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ----
-
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    })
 }
 
 /// [`crc32`] accumulating elapsed time into `acc_ns` when tracing is active.
@@ -228,17 +218,6 @@ fn timed_crc32(data: &[u8], acc_ns: &mut u64) -> u32 {
     } else {
         crc32(data)
     }
-}
-
-/// CRC32 of a byte slice (table-driven; the corruption tests sweep every byte
-/// of an artifact, so this must not be the bitwise-loop variant).
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---- Generic container writer / reader ----
@@ -316,38 +295,26 @@ pub struct ArtifactReader<'a> {
     sections: Vec<(String, usize, usize)>,
 }
 
-fn read_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().unwrap())
-}
-
-fn read_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().unwrap())
-}
-
 impl<'a> ArtifactReader<'a> {
     pub fn parse(data: &'a [u8]) -> Result<Self, PersistError> {
         let _span = obs::span("persist.parse");
         obs::counter("bytes", data.len() as u64);
         let mut crc_ns = 0u64;
-        if data.len() < FIXED_HEADER_LEN {
-            return Err(PersistError::TruncatedHeader {
-                needed: FIXED_HEADER_LEN,
-                got: data.len(),
-            });
-        }
-        if data[..8] != SESSION_MAGIC {
+        let mut r = Reader::new(data);
+        let mut fixed = Reader::new(r.take(FIXED_HEADER_LEN)?);
+        if fixed.array()? != SESSION_MAGIC {
             return Err(PersistError::BadMagic);
         }
         // Version gates everything else: a future format may change the very
         // layout of the table, so it must be checked before parsing further.
-        let version = read_u32(&data[8..]);
+        let version = fixed.u32()?;
         if version != SESSION_FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: SESSION_FORMAT_VERSION,
             });
         }
-        let count = read_u32(&data[12..]) as usize;
+        let count = fixed.u32()? as usize;
         let table_end = count
             .checked_mul(TABLE_ENTRY_LEN)
             .and_then(|t| t.checked_add(FIXED_HEADER_LEN))
@@ -361,19 +328,20 @@ impl<'a> ArtifactReader<'a> {
                 got: data.len(),
             });
         }
+        let mut table = Reader::new(r.take(table_end - FIXED_HEADER_LEN)?);
         // The header checksum covers the table, so a bit flip in a *tag*
         // cannot silently turn a known section into a skipped unknown one.
-        if timed_crc32(&data[..table_end], &mut crc_ns) != read_u32(&data[table_end..]) {
+        if timed_crc32(&data[..table_end], &mut crc_ns) != r.u32()? {
             return Err(PersistError::HeaderChecksumMismatch);
         }
         let mut sections = Vec::with_capacity(count);
-        for i in 0..count {
-            let e = FIXED_HEADER_LEN + i * TABLE_ENTRY_LEN;
-            let tag_bytes = &data[e..e + TAG_LEN];
-            let tag = String::from_utf8_lossy(tag_bytes).trim_end().to_string();
-            let offset = read_u64(&data[e + TAG_LEN..]);
-            let len = read_u64(&data[e + TAG_LEN + 8..]);
-            let crc = read_u32(&data[e + TAG_LEN + 16..]);
+        for _ in 0..count {
+            let tag = String::from_utf8_lossy(table.take(TAG_LEN)?)
+                .trim_end()
+                .to_string();
+            let offset = table.u64()?;
+            let len = table.u64()?;
+            let crc = table.u32()?;
             let (offset, len) = match (usize::try_from(offset), usize::try_from(len)) {
                 (Ok(o), Ok(l)) => (o, l),
                 _ => {
@@ -486,59 +454,52 @@ struct CheckpointHeader {
 /// Sequential reader over one section's payload with typed overrun errors.
 struct Cursor<'a> {
     section: &'static str,
-    buf: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
 }
 
 impl<'a> Cursor<'a> {
     fn new(section: &'static str, buf: &'a [u8]) -> Self {
         Self {
             section,
-            buf,
-            pos: 0,
+            r: Reader::new(buf),
         }
     }
 
+    fn malformed(&self, reason: String) -> PersistError {
+        PersistError::Malformed {
+            section: self.section.to_string(),
+            reason,
+        }
+    }
+
+    fn overrun(&self, s: Shortfall) -> PersistError {
+        self.malformed(format!(
+            "payload overrun: need {} more bytes at offset {}, section has {}",
+            s.need, s.at, s.len
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(PersistError::Malformed {
-                section: self.section.to_string(),
-                reason: format!(
-                    "payload overrun: need {n} more bytes at offset {}, section has {}",
-                    self.pos,
-                    self.buf.len()
-                ),
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+        self.r.take(n).map_err(|s| self.overrun(s))
     }
 
     fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(read_u32(self.take(4)?))
+        self.r.u32().map_err(|s| self.overrun(s))
     }
 
     fn mask(&mut self) -> Result<Mask3, PersistError> {
-        let (mask, used) =
-            decode_mask(&self.buf[self.pos..]).map_err(|error| PersistError::Mask {
-                section: self.section.to_string(),
-                error,
-            })?;
-        self.pos += used;
+        let (mask, used) = decode_mask(self.r.rest()).map_err(|error| PersistError::Mask {
+            section: self.section.to_string(),
+            error,
+        })?;
+        self.take(used)?;
         Ok(mask)
     }
 
     fn done(&self) -> Result<(), PersistError> {
-        if self.pos != self.buf.len() {
-            return Err(PersistError::Malformed {
-                section: self.section.to_string(),
-                reason: format!("{} trailing bytes after payload", self.buf.len() - self.pos),
-            });
-        }
-        Ok(())
+        self.r
+            .finish()
+            .map_err(|extra| self.malformed(format!("{extra} trailing bytes after payload")))
     }
 }
 

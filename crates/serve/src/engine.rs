@@ -496,31 +496,14 @@ impl ServeEngine {
     }
 }
 
-/// Frame files of a series directory: every `.raw`/`.rawz` under `dir`,
-/// lexicographically sorted (the series itself orders by sidecar step).
-/// `_truth` ground-truth companions written by `ifet generate` are not
-/// data frames and are excluded, mirroring the CLI's series loader.
+/// Data frames of a series directory (see
+/// [`ifet_volume::io::data_frame_paths`]); an empty directory is an error.
 fn frame_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("raw") | Some("rawz")
-            )
-        })
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| !n.contains("_truth"))
-                .unwrap_or(true)
-        })
-        .collect();
+    let paths =
+        ifet_volume::io::data_frame_paths(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     if paths.is_empty() {
         return Err(format!("no .raw/.rawz frames in {}", dir.display()));
     }
-    paths.sort();
     Ok(paths)
 }
 

@@ -5,10 +5,10 @@
 //! frame := magic[4] | payload_len u32 LE | payload[payload_len] | crc32 u32 LE
 //! ```
 //!
-//! The CRC (IEEE 802.3, shared with the `.rawz`/`.ifet` containers) covers
-//! the whole payload — request id, tenant id, verb, and body alike — so any
-//! single-byte corruption anywhere in a frame is detected *before* the
-//! request is interpreted. That is what makes the fuzz guarantee hold:
+//! The CRC (`ifet_volume::framing::crc32`, shared by every binary format)
+//! covers the whole payload — request id, tenant id, verb, and body alike —
+//! so any single-byte corruption anywhere in a frame is detected *before*
+//! the request is interpreted. That is what makes the fuzz guarantee hold:
 //! a flipped byte can never silently retarget a request at another tenant's
 //! session or mutate its parameters; it always surfaces as a typed
 //! [`ProtocolError`].
@@ -24,7 +24,7 @@
 //! (`to_bits`), so encode/decode is exactly lossless and responses are
 //! byte-comparable across runs. Strings are `u32` length + UTF-8 bytes.
 
-use ifet_volume::codec::crc32;
+use ifet_volume::framing::{crc32, Reader, Shortfall};
 
 /// Magic prefix of request frames.
 pub const MAGIC_REQUEST: [u8; 4] = *b"IFQ1";
@@ -102,6 +102,15 @@ impl std::fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<Shortfall> for ProtocolError {
+    fn from(s: Shortfall) -> Self {
+        ProtocolError::Truncated {
+            need: s.need,
+            have: s.len - s.at,
+        }
+    }
+}
 
 /// Which axis a `render-slice` request cuts across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -504,45 +513,10 @@ pub fn encode_response(rsp: &Response) -> Vec<u8> {
 
 // ---- decoding ----
 
-struct Rd<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let have = self.b.len() - self.pos;
-        if have < n {
-            return Err(ProtocolError::Truncated { need: n, have });
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-    fn finish(self) -> Result<(), ProtocolError> {
-        let extra = self.b.len() - self.pos;
-        if extra != 0 {
-            return Err(ProtocolError::TrailingBytes { extra });
-        }
-        Ok(())
-    }
+/// A `u32` length followed by that many UTF-8 bytes.
+fn read_str(r: &mut Reader) -> Result<String, ProtocolError> {
+    let n = r.u32()? as usize;
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|_| ProtocolError::BadUtf8)
 }
 
 /// Validate framing (magic, length, CRC) and return the payload slice.
@@ -557,18 +531,9 @@ pub fn decode_frame(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], ProtocolError
             have: bytes.len(),
         });
     }
-    let found: [u8; 4] = bytes[0..4].try_into().unwrap();
-    if found != magic {
-        return Err(ProtocolError::BadMagic { found });
-    }
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        });
-    }
-    let total = 8 + len as usize + 4;
+    let mut r = Reader::new(bytes);
+    let len = frame_header(magic, &mut r)?;
+    let total = 8 + len + 4;
     if bytes.len() < total {
         return Err(ProtocolError::Truncated {
             need: total,
@@ -580,8 +545,8 @@ pub fn decode_frame(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], ProtocolError
             extra: bytes.len() - total,
         });
     }
-    let payload = &bytes[8..8 + len as usize];
-    let stored = u32::from_le_bytes(bytes[total - 4..total].try_into().unwrap());
+    let payload = r.take(len)?;
+    let stored = r.u32()?;
     let computed = crc32(payload);
     if stored != computed {
         return Err(ProtocolError::Checksum { stored, computed });
@@ -589,14 +554,31 @@ pub fn decode_frame(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], ProtocolError
     Ok(payload)
 }
 
+/// Read and check a frame header (magic, then a length prefix no larger
+/// than [`MAX_PAYLOAD`]); returns the payload length.
+fn frame_header(magic: [u8; 4], r: &mut Reader) -> Result<usize, ProtocolError> {
+    let found = r.array()?;
+    if found != magic {
+        return Err(ProtocolError::BadMagic { found });
+    }
+    let len = r.u32()?;
+    if len > MAX_PAYLOAD {
+        return Err(ProtocolError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        });
+    }
+    Ok(len as usize)
+}
+
 fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut r = Rd { b: payload, pos: 0 };
+    let mut r = Reader::new(payload);
     let request_id = r.u64()?;
     let tenant = r.u32()?;
     let verb = match r.u8()? {
         0 => Verb::Open {
-            artifact: r.str()?,
-            data_dir: r.str()?,
+            artifact: read_str(&mut r)?,
+            data_dir: read_str(&mut r)?,
         },
         1 => Verb::Classify {
             step: r.u32()?,
@@ -637,7 +619,8 @@ fn decode_request_payload(payload: &[u8]) -> Result<Request, ProtocolError> {
         },
         other => return Err(ProtocolError::UnknownVerb(other)),
     };
-    r.finish()?;
+    r.finish()
+        .map_err(|extra| ProtocolError::TrailingBytes { extra })?;
     Ok(Request {
         request_id,
         tenant,
@@ -651,7 +634,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtocolError> {
 }
 
 fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError> {
-    let mut r = Rd { b: payload, pos: 0 };
+    let mut r = Reader::new(payload);
     let request_id = r.u64()?;
     let tenant = r.u32()?;
     let body = match r.u8()? {
@@ -721,11 +704,12 @@ fn decode_response_payload(payload: &[u8]) -> Result<Response, ProtocolError> {
         },
         255 => ResponseBody::Err {
             code: ErrorCode::from_u8(r.u8()?)?,
-            message: r.str()?,
+            message: read_str(&mut r)?,
         },
         other => return Err(ProtocolError::UnknownStatus(other)),
     };
-    r.finish()?;
+    r.finish()
+        .map_err(|extra| ProtocolError::TrailingBytes { extra })?;
     Ok(Response {
         request_id,
         tenant,
@@ -755,18 +739,11 @@ pub fn read_frame_bytes(
             n => got += n,
         }
     }
-    let found: [u8; 4] = header[0..4].try_into().unwrap();
-    if found != magic {
-        return Ok(Some(Err(ProtocolError::BadMagic { found })));
-    }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Ok(Some(Err(ProtocolError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        })));
-    }
-    let rest = len as usize + 4;
+    let len = match frame_header(magic, &mut Reader::new(&header)) {
+        Ok(len) => len,
+        Err(e) => return Ok(Some(Err(e))),
+    };
+    let rest = len + 4;
     let mut frame = Vec::with_capacity(8 + rest);
     frame.extend_from_slice(&header);
     frame.resize(8 + rest, 0);

@@ -400,3 +400,44 @@ fn rejection_is_per_tenant_not_global() {
         ));
     });
 }
+
+#[test]
+fn open_on_mixed_dims_dir_is_a_typed_error_and_frees_the_slot() {
+    // A client-chosen data directory holding frames of two sizes must get a
+    // typed `Open` error, not kill the worker mid-request: the tenant's
+    // in-flight slot (bound 1 here) is released, so its next request runs.
+    let fx = serve_fixture("fair_mixed_dims", 0.0);
+    let mixed = support::temp_dir("fair_mixed_dims_bad");
+    ifet_volume::io::write_series(&mixed, "srv", &support::series()).unwrap();
+    let small = ifet_volume::TimeSeries::from_frames(vec![(
+        999,
+        ifet_volume::ScalarVolume::filled(ifet_volume::Dims3::cube(4), 0.0),
+    )]);
+    ifet_volume::io::write_series(&mixed, "zz", &small).unwrap();
+
+    let engine = ServeEngine::new(ServeConfig {
+        max_inflight_per_tenant: 1,
+        ..ServeConfig::default()
+    });
+    let bad = Request {
+        request_id: 1,
+        tenant: 0,
+        verb: Verb::Open {
+            artifact: fx.artifact.display().to_string(),
+            data_dir: mixed.display().to_string(),
+        },
+    };
+    match engine.handle(bad).body {
+        ResponseBody::Err { code, message } => {
+            assert_eq!(code, ErrorCode::Open);
+            assert!(message.contains("dims mismatch"), "{message}");
+        }
+        other => panic!("expected a typed Open error, got {other:?}"),
+    }
+    assert!(matches!(
+        engine.handle(open_req(2, 0, &fx)).body,
+        ResponseBody::OpenOk { .. }
+    ));
+    let st = engine.tenant_stats(0);
+    assert_eq!((st.sent, st.accepted, st.completed), (2, 2, 2));
+}

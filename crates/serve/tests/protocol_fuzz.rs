@@ -15,7 +15,7 @@ use ifet_serve::{
     Axis, ErrorCode, Request, Response, ResponseBody, ServeConfig, ServeEngine, StatsReport, Verb,
     WireCriterion,
 };
-use ifet_volume::codec::crc32;
+use ifet_volume::framing::crc32;
 use std::io::Cursor;
 
 #[path = "../../../tests/support/mod.rs"]

@@ -28,7 +28,7 @@
 
 use crate::advect::{ParticleEnding, Pathline, PathlineSet};
 use ifet_obs as obs;
-use ifet_volume::codec::crc32;
+use ifet_volume::framing::{crc32, Reader, Shortfall};
 use ifet_volume::Dims3;
 use std::io::Write as _;
 use std::path::Path;
@@ -91,6 +91,15 @@ impl std::error::Error for PathlineIoError {
         match self {
             PathlineIoError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<Shortfall> for PathlineIoError {
+    fn from(s: Shortfall) -> Self {
+        PathlineIoError::Truncated {
+            needed: s.at + s.need,
+            got: s.len,
         }
     }
 }
@@ -164,8 +173,8 @@ pub fn pathlines_from_bytes(bytes: &[u8]) -> Result<PathlineSet, PathlineIoError
     }
     // Authenticate everything before parsing anything: a flipped length
     // byte must surface as a checksum error, not a wild allocation.
-    let body = &bytes[MAGIC.len()..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
+    let (body, crc) = bytes[MAGIC.len()..].split_at(bytes.len() - MAGIC.len() - 4);
+    let stored = Reader::new(crc).u32()?;
     let actual = crc32(body);
     if stored != actual {
         return Err(PathlineIoError::Checksum {
@@ -173,7 +182,7 @@ pub fn pathlines_from_bytes(bytes: &[u8]) -> Result<PathlineSet, PathlineIoError
             got: stored,
         });
     }
-    let mut r = Reader { buf: body, at: 0 };
+    let mut r = Reader::new(body);
     let version = r.u32()?;
     if version != VERSION {
         return Err(PathlineIoError::UnsupportedVersion { got: version });
@@ -184,20 +193,16 @@ pub fn pathlines_from_bytes(bytes: &[u8]) -> Result<PathlineSet, PathlineIoError
     }
     let frames = r.u32()? as usize;
     let count = r.u32()? as usize;
-    let rk4_dt = f64::from_bits(r.u64()?);
+    let rk4_dt = r.f64()?;
     let mut steps = Vec::with_capacity(frames.min(1 << 20));
     for _ in 0..frames {
         steps.push(r.u32()?);
     }
     let mut pathlines = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let seed = [
-            f64::from_bits(r.u64()?),
-            f64::from_bits(r.u64()?),
-            f64::from_bits(r.u64()?),
-        ];
+        let seed = [r.f64()?, r.f64()?, r.f64()?];
         let code = r.u8()?;
-        let time = f64::from_bits(r.u64()?);
+        let time = r.f64()?;
         let ending = ending_from(code, time)?;
         let npoints = r.u32()? as usize;
         if npoints > frames {
@@ -205,11 +210,7 @@ pub fn pathlines_from_bytes(bytes: &[u8]) -> Result<PathlineSet, PathlineIoError
         }
         let mut points = Vec::with_capacity(npoints);
         for _ in 0..npoints {
-            points.push([
-                f64::from_bits(r.u64()?),
-                f64::from_bits(r.u64()?),
-                f64::from_bits(r.u64()?),
-            ]);
+            points.push([r.f64()?, r.f64()?, r.f64()?]);
         }
         if points.is_empty() {
             return Err(PathlineIoError::Malformed("pathline without its seed"));
@@ -220,9 +221,8 @@ pub fn pathlines_from_bytes(bytes: &[u8]) -> Result<PathlineSet, PathlineIoError
             ending,
         });
     }
-    if r.at != r.buf.len() {
-        return Err(PathlineIoError::Malformed("trailing bytes after particles"));
-    }
+    r.finish()
+        .map_err(|_| PathlineIoError::Malformed("trailing bytes after particles"))?;
     Ok(PathlineSet {
         dims: Dims3::new(nx, ny, nz),
         steps,
@@ -275,38 +275,6 @@ struct SidecarMeta {
     particles: usize,
     completed: usize,
     rk4_dt: f64,
-}
-
-/// Little-endian cursor over the authenticated body.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], PathlineIoError> {
-        if self.at + n > self.buf.len() {
-            return Err(PathlineIoError::Truncated {
-                needed: self.at + n,
-                got: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, PathlineIoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PathlineIoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, PathlineIoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 fn push_u32(b: &mut Vec<u8>, v: u32) {

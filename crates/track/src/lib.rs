@@ -22,7 +22,6 @@ pub mod attributes;
 pub mod components;
 pub mod criterion;
 pub mod events;
-pub mod multires;
 pub mod octree;
 pub mod region_grow;
 pub mod tracks;
@@ -33,7 +32,6 @@ pub use criterion::{
     AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowthCriterion, MaskCriterion,
 };
 pub use events::{track_events, Event, EventKind, TrackReport};
-pub use multires::grow_4d_multires;
 pub use octree::FeatureOctree;
 pub use region_grow::{grow_4d, grow_4d_serial, GrowCheckpoint, GrowError, Grower, Seed4};
 pub use tracks::{

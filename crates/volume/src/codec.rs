@@ -27,6 +27,8 @@
 //! own CRC-32. Any single corrupted byte surfaces as a typed
 //! [`CodecError`] — never a panic, never silently-wrong voxels.
 
+use crate::framing::{crc32, crc32_update, Reader, Shortfall};
+
 /// Sidecar `dtype` marking a compressed frame file (see [`crate::io`]).
 pub const DTYPE: &str = "f32le+ifz1";
 
@@ -135,37 +137,13 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+impl From<Shortfall> for CodecError {
+    fn from(s: Shortfall) -> Self {
+        CodecError::Truncated {
+            need: s.at.saturating_add(s.need),
+            have: s.len,
         }
-        table[i] = c;
-        i += 1;
     }
-    table
-};
-
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
-/// CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(!0, data)
 }
 
 /// Shuffle a brick's raw little-endian bytes into four byte planes, then
@@ -303,8 +281,8 @@ pub fn encode_frame(values: &[f32]) -> Vec<u8> {
     out.extend_from_slice(&(values.len() as u64).to_le_bytes());
     out.extend_from_slice(&(BRICK_VOXELS as u32).to_le_bytes());
     out.extend_from_slice(&(brick_count as u32).to_le_bytes());
-    let crc = crc32_update(crc32_update(!0, &out), &table);
-    out.extend_from_slice(&(!crc).to_le_bytes());
+    let crc = crc32_update(crc32(&out), &table);
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&table);
     out.extend_from_slice(&payloads);
 
@@ -317,47 +295,29 @@ pub fn encode_frame(values: &[f32]) -> Vec<u8> {
     out
 }
 
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
 /// Decode a container produced by [`encode_frame`]. `expected_voxels` comes
 /// from the sidecar dims and is cross-checked against the header, so a
 /// frame can never decode to the wrong shape.
 pub fn decode_frame(bytes: &[u8], expected_voxels: usize) -> Result<Vec<f32>, CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated {
-            need: HEADER_LEN,
-            have: bytes.len(),
-        });
-    }
-    if bytes[0..4] != MAGIC {
+    let mut r = Reader::new(bytes);
+    let header = r.take(HEADER_LEN)?;
+    let mut h = Reader::new(header);
+    if h.array()? != MAGIC {
         return Err(CodecError::Magic);
     }
-    let version = le_u32(&bytes[4..8]);
+    let version = h.u32()?;
     if version != VERSION {
         return Err(CodecError::Version(version));
     }
-    let voxels = le_u64(&bytes[8..16]);
-    let brick_voxels = le_u32(&bytes[16..20]);
-    let brick_count = le_u32(&bytes[20..24]) as usize;
-    let stored_crc = le_u32(&bytes[24..28]);
+    let voxels = h.u64()?;
+    let brick_voxels = h.u32()?;
+    let brick_count = h.u32()? as usize;
+    let stored_crc = h.u32()?;
 
-    // Bound the table before trusting any of it.
-    let table_len = brick_count
-        .checked_mul(ENTRY_LEN)
-        .filter(|&t| HEADER_LEN + t <= bytes.len())
-        .ok_or(CodecError::Truncated {
-            need: HEADER_LEN.saturating_add(brick_count.saturating_mul(ENTRY_LEN)),
-            have: bytes.len(),
-        })?;
-    let table = &bytes[HEADER_LEN..HEADER_LEN + table_len];
-    let crc = !crc32_update(crc32_update(!0, &bytes[0..24]), table);
-    if crc != stored_crc {
+    // Bound the table before trusting any of it. The header CRC covers
+    // every header field before it, then the table.
+    let table = r.take(brick_count.saturating_mul(ENTRY_LEN))?;
+    if crc32_update(crc32(&header[..HEADER_LEN - 4]), table) != stored_crc {
         return Err(CodecError::HeaderCrc);
     }
     if voxels != expected_voxels as u64 {
@@ -375,24 +335,12 @@ pub fn decode_frame(bytes: &[u8], expected_voxels: usize) -> Result<Vec<f32>, Co
     }
 
     let mut out = Vec::with_capacity(expected_voxels);
-    let mut off = HEADER_LEN + table_len;
+    let mut entries = Reader::new(table);
     for b in 0..brick_count {
-        let e = &table[b * ENTRY_LEN..(b + 1) * ENTRY_LEN];
-        let mode = e[0];
-        let enc_len = le_u32(&e[1..5]) as usize;
-        let payload_crc = le_u32(&e[5..9]);
-        let end = off.checked_add(enc_len).ok_or(CodecError::Truncated {
-            need: usize::MAX,
-            have: bytes.len(),
-        })?;
-        if end > bytes.len() {
-            return Err(CodecError::Truncated {
-                need: end,
-                have: bytes.len(),
-            });
-        }
-        let payload = &bytes[off..end];
-        off = end;
+        let mode = entries.u8()?;
+        let enc_len = entries.u32()? as usize;
+        let payload_crc = entries.u32()?;
+        let payload = r.take(enc_len)?;
         if crc32(payload) != payload_crc {
             return Err(CodecError::BrickCrc { brick: b });
         }
@@ -421,11 +369,8 @@ pub fn decode_frame(bytes: &[u8], expected_voxels: usize) -> Result<Vec<f32>, Co
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
         );
     }
-    if off != bytes.len() {
-        return Err(CodecError::TrailingBytes {
-            extra: bytes.len() - off,
-        });
-    }
+    r.finish()
+        .map_err(|extra| CodecError::TrailingBytes { extra })?;
     ifet_obs::counter_runtime("volume.codec.bytes_decoded", bytes.len() as u64);
     Ok(out)
 }

@@ -54,6 +54,14 @@ pub enum IoError {
     UnsupportedDtype(String),
     /// A compressed frame failed to decode (corruption or truncation).
     Codec(codec::CodecError),
+    /// A series was opened from an empty list of frame files.
+    NoFrames,
+    /// A frame's sidecar dims differ from the series' first frame.
+    DimsMismatch {
+        path: PathBuf,
+        expected: Dims3,
+        got: Dims3,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -66,6 +74,16 @@ impl std::fmt::Display for IoError {
             }
             IoError::UnsupportedDtype(d) => write!(f, "unsupported dtype {d:?}"),
             IoError::Codec(e) => write!(f, "compressed frame error: {e}"),
+            IoError::NoFrames => write!(f, "need at least one frame file"),
+            IoError::DimsMismatch {
+                path,
+                expected,
+                got,
+            } => write!(
+                f,
+                "frame dims mismatch in series: {} is {got}, expected {expected}",
+                path.display()
+            ),
         }
     }
 }
@@ -194,6 +212,32 @@ pub fn read_frame(path: &Path) -> Result<(ScalarVolume, VolumeMeta), IoError> {
         codec::DTYPE => read_compressed_payload(path, meta),
         _ => Err(IoError::UnsupportedDtype(meta.dtype.clone())),
     }
+}
+
+/// Data frames of a series directory: every `.raw`/`.rawz` file except the
+/// `_truth` ground-truth companions that `ifet generate` writes beside
+/// them, sorted by file name (series order by sidecar step on load).
+pub fn data_frame_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    frame_paths(dir, false)
+}
+
+/// The `_truth` ground-truth companion frames of a series directory,
+/// sorted by file name.
+pub fn truth_frame_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    frame_paths(dir, true)
+}
+
+fn frame_paths(dir: &Path, truth: bool) -> io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| matches!(p.extension().and_then(|x| x.to_str()), Some("raw" | "rawz")))
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str());
+            name.is_some_and(|n| n.contains("_truth")) == truth
+        })
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 /// Write every frame of a series as `prefix_t<step>.raw` (+ sidecars).

@@ -26,7 +26,9 @@
 //! - raw-binary + JSON-sidecar [`io`], with a bricked, CRC-guarded
 //!   compression [`codec`] (`.rawz` frames, decoded transparently on
 //!   page-in) and zero-copy [`mmapio`] frame mapping for raw frames,
-//! - versioned binary [`maskio`] encoding for masks inside session artifacts.
+//! - versioned binary [`maskio`] encoding for masks inside session artifacts,
+//! - the shared CRC-32 and bounds-checked little-endian reader behind every
+//!   binary format ([`framing`]).
 //!
 //! Everything is deterministic and `f32`-based; volumes are laid out in
 //! x-fastest (C) order so `idx = x + nx*(y + ny*z)`.
@@ -34,6 +36,7 @@
 pub mod codec;
 pub mod dims;
 pub mod filter;
+pub mod framing;
 pub mod histogram;
 pub mod io;
 pub mod mask;

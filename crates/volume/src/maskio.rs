@@ -21,6 +21,7 @@
 //! corrupted headers must never panic or allocate unbounded memory.
 
 use crate::dims::Dims3;
+use crate::framing::{Reader, Shortfall};
 use crate::mask::{Mask3, MaskWordsError};
 
 /// Magic bytes opening every encoded mask.
@@ -78,6 +79,15 @@ impl std::fmt::Display for MaskIoError {
 
 impl std::error::Error for MaskIoError {}
 
+impl From<Shortfall> for MaskIoError {
+    fn from(s: Shortfall) -> Self {
+        MaskIoError::Truncated {
+            needed: s.at.saturating_add(s.need),
+            got: s.len,
+        }
+    }
+}
+
 /// Append the binary encoding of `mask` to `out`.
 pub fn encode_mask_into(out: &mut Vec<u8>, mask: &Mask3) {
     let d = mask.dims();
@@ -100,12 +110,6 @@ pub fn encode_mask(mask: &Mask3) -> Vec<u8> {
     out
 }
 
-fn read_u64(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
 /// Decode one mask from the front of `buf`, returning it together with the
 /// number of bytes consumed (so callers can decode packed sequences).
 ///
@@ -113,24 +117,21 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
 /// a corrupted header cannot trigger an overflow panic or a huge allocation:
 /// the payload length implied by the header must actually be present in `buf`.
 pub fn decode_mask(buf: &[u8]) -> Result<(Mask3, usize), MaskIoError> {
-    if buf.len() < MASK_HEADER_LEN {
-        return Err(MaskIoError::Truncated {
-            needed: MASK_HEADER_LEN,
-            got: buf.len(),
-        });
-    }
-    if buf[0..4] != MASK_MAGIC {
+    let mut r = Reader::new(buf);
+    let mut h = Reader::new(r.take(MASK_HEADER_LEN)?);
+    if h.array()? != MASK_MAGIC {
         return Err(MaskIoError::BadMagic);
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
+    let version = h.u16()?;
     if version != MASK_FORMAT_VERSION {
         return Err(MaskIoError::UnsupportedVersion {
             found: version,
             supported: MASK_FORMAT_VERSION,
         });
     }
-    let (nx, ny, nz) = (read_u64(buf, 8), read_u64(buf, 16), read_u64(buf, 24));
-    let nwords = read_u64(buf, 32);
+    let _reserved = h.u16()?;
+    let (nx, ny, nz) = (h.u64()?, h.u64()?, h.u64()?);
+    let nwords = h.u64()?;
     let bad_dims = MaskIoError::BadDims { nx, ny, nz };
     if nx == 0 || ny == 0 || nz == 0 {
         return Err(bad_dims);
@@ -149,17 +150,9 @@ pub fn decode_mask(buf: &[u8]) -> Result<(Mask3, usize), MaskIoError> {
     }
     // expected_words <= len/64 + 1 <= usize::MAX/64 + 1, so * 8 cannot
     // overflow after len fit in usize; still use checked math for clarity.
-    let payload = expected_words
-        .checked_mul(8)
-        .and_then(|p| p.checked_add(MASK_HEADER_LEN))
-        .ok_or(bad_dims)?;
-    if buf.len() < payload {
-        return Err(MaskIoError::Truncated {
-            needed: payload,
-            got: buf.len(),
-        });
-    }
-    let words: Vec<u64> = buf[MASK_HEADER_LEN..payload]
+    let payload = expected_words.checked_mul(8).ok_or(bad_dims)?;
+    let words: Vec<u64> = r
+        .take(payload)?
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
         .collect();
@@ -177,7 +170,7 @@ pub fn decode_mask(buf: &[u8]) -> Result<(Mask3, usize), MaskIoError> {
         },
         MaskWordsError::TailBitsSet => MaskIoError::TailBitsSet,
     })?;
-    Ok((mask, payload))
+    Ok((mask, r.pos()))
 }
 
 #[cfg(test)]

@@ -930,7 +930,6 @@ impl OutOfCoreSeries {
         prefetch: usize,
         mmap: bool,
     ) -> Result<Self, IoError> {
-        assert!(!paths.is_empty(), "need at least one frame file");
         // Read sidecars only — cheap JSON reads for dims, steps, and dtype.
         let mut labelled: Vec<(u32, PathBuf)> = Vec::with_capacity(paths.len());
         let mut dims = None;
@@ -947,16 +946,21 @@ impl OutOfCoreSeries {
                 // than failing on first access.
                 return Err(IoError::UnsupportedDtype(meta.dtype));
             }
-            if let Some(d) = dims {
-                assert_eq!(d, meta.dims, "frame dims mismatch in series");
-            } else {
-                dims = Some(meta.dims);
+            match dims {
+                Some(expected) if expected != meta.dims => {
+                    return Err(IoError::DimsMismatch {
+                        path: p.clone(),
+                        expected,
+                        got: meta.dims,
+                    });
+                }
+                _ => dims = Some(meta.dims),
             }
             labelled.push((meta.step.unwrap_or(k as u32), p.clone()));
         }
         labelled.sort_by_key(|(t, _)| *t);
         Self::from_parts(
-            dims.unwrap(),
+            dims.ok_or(IoError::NoFrames)?,
             labelled.iter().map(|(t, _)| *t).collect(),
             labelled.into_iter().map(|(_, p)| p).collect(),
             budget,
@@ -1304,6 +1308,30 @@ mod tests {
         let opened = OutOfCoreSeries::open(paths, 2).unwrap();
         assert_eq!(opened.steps(), created.steps());
         assert_eq!(opened.load_all().unwrap(), s);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn open_rejects_empty_and_mixed_dims_with_typed_errors() {
+        assert!(matches!(
+            OutOfCoreSeries::open(Vec::new(), 2),
+            Err(IoError::NoFrames)
+        ));
+        let dir = tmpdir("mixed");
+        let mut paths = crate::io::write_series(&dir, "a", &sample_series()).unwrap();
+        let small = TimeSeries::from_frames(vec![(60, ScalarVolume::filled(Dims3::cube(4), 0.0))]);
+        paths.extend(crate::io::write_series(&dir, "b", &small).unwrap());
+        match OutOfCoreSeries::open(paths.clone(), 2) {
+            Err(IoError::DimsMismatch {
+                path,
+                expected,
+                got,
+            }) => {
+                assert_eq!(path, paths[6]);
+                assert_eq!((expected, got), (Dims3::cube(8), Dims3::cube(4)));
+            }
+            other => panic!("expected DimsMismatch, got {:?}", other.map(|s| s.len())),
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -5,9 +5,10 @@
 //! guarantee that an interrupted tracking run finishes with exactly the
 //! result an uninterrupted run produces.
 
-use ifet_core::persist::{crc32, ArtifactWriter, SESSION_FORMAT_VERSION};
+use ifet_core::persist::{ArtifactWriter, SESSION_FORMAT_VERSION};
 use ifet_core::prelude::*;
 use ifet_extract::PaintSet;
+use ifet_volume::framing::crc32;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
