@@ -4,8 +4,9 @@
 //! 1/2/4/8 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ifet_core::pipeline::map_frames_with_threads;
+use ifet_core::pipeline::pool_with_threads;
 use ifet_core::prelude::*;
+use ifet_volume::map_frames_windowed;
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -35,20 +36,24 @@ fn bench_scaling(c: &mut Criterion) {
             BenchmarkId::new("classify_13_frames", threads),
             &threads,
             |b, &threads| {
+                let pool = pool_with_threads(threads);
+                // Sequential, buffer-reusing inner work so only the frame
+                // fan-out scales (per-slice classification is the UI feedback
+                // path and allocates once per slice).
+                let classify = |_, t, frame: &ScalarVolume| {
+                    let tn = series.normalized_time(t);
+                    let mut acc = 0.0f32;
+                    for z in 0..frame.dims().nz {
+                        let (_, _, slice) = clf.classify_slice_z(frame, z, tn);
+                        acc += slice.iter().sum::<f32>();
+                    }
+                    acc
+                };
                 b.iter(|| {
-                    black_box(map_frames_with_threads(&series, threads, |t, frame| {
-                        // Sequential, buffer-reusing inner work so only the
-                        // frame fan-out scales (per-slice classification is
-                        // the UI feedback path and allocates once per slice).
-                        let tn = series.normalized_time(t);
-                        let d = frame.dims();
-                        let mut acc = 0.0f32;
-                        for z in 0..d.nz {
-                            let (_, _, slice) = clf.classify_slice_z(frame, z, tn);
-                            acc += slice.iter().sum::<f32>();
-                        }
-                        acc
-                    }))
+                    black_box(
+                        pool.install(|| map_frames_windowed(&series, classify))
+                            .unwrap(),
+                    )
                 })
             },
         );

@@ -1517,7 +1517,7 @@ fn format_response(args: &Args, body: ifet_serve::ResponseBody) -> Result<String
         }
         ResponseBody::StatsOk(st) => Ok(format!(
             "tenant: sent {}, accepted {}, rejected {}, completed {}, max depth {}\n\
-             batcher: {} jobs in {} cycles, {} MLP rows\n\
+             mlp: {} jobs, {} rows\n\
              paging: {} evictions ({} quota-local, {} idle-preferred)",
             st.sent,
             st.accepted,
@@ -1525,7 +1525,6 @@ fn format_response(args: &Args, body: ifet_serve::ResponseBody) -> Result<String
             st.completed,
             st.max_depth,
             st.batch_jobs,
-            st.batch_cycles,
             st.batch_rows,
             st.evictions,
             st.quota_evictions,

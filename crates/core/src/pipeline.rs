@@ -6,7 +6,6 @@
 //! concurrently." On a single machine the same independence lets frames fan
 //! out across a thread pool; the scaling bench measures exactly this.
 
-use ifet_volume::{map_frames_windowed, FrameSource, ScalarVolume, SeriesError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -30,98 +29,9 @@ pub fn pool_with_threads(threads: usize) -> Arc<rayon::ThreadPool> {
     }))
 }
 
-/// Apply `f` to every `(step, frame)` of a series in parallel, preserving
-/// order in the output. Panics if a paged source fails to load a frame; use
-/// [`try_map_frames`] to handle that case.
-pub fn map_frames<S, T, F>(series: &S, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync,
-{
-    try_map_frames(series, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`map_frames`]: fan out over frames in residency-bounded windows
-/// (one full parallel pass for in-core sources), surfacing paging failures.
-pub fn try_map_frames<S, T, F>(series: &S, f: F) -> Result<Vec<T>, SeriesError>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync,
-{
-    map_frames_windowed(series, |_i, t, frame| f(t, frame))
-}
-
-/// Apply `f` with an explicit thread count (for scaling studies), using the
-/// cached pool for that count; `threads == 0` means rayon's default.
-pub fn map_frames_with_threads<S, T, F>(series: &S, threads: usize, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync + Send,
-{
-    if threads == 0 {
-        return map_frames(series, f);
-    }
-    pool_with_threads(threads).install(|| map_frames(series, f))
-}
-
-/// Sequential reference (the 1-worker baseline for speedup computation).
-pub fn map_frames_sequential<S, T, F>(series: &S, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    F: Fn(u32, &ScalarVolume) -> T,
-{
-    let steps = series.steps().to_vec();
-    steps
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let frame = series.frame(i).unwrap_or_else(|e| panic!("{e}"));
-            f(t, &frame)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifet_volume::{Dims3, TimeSeries};
-
-    fn series(n_frames: usize) -> TimeSeries {
-        let d = Dims3::cube(8);
-        TimeSeries::from_frames(
-            (0..n_frames)
-                .map(|k| (k as u32, ScalarVolume::filled(d, k as f32)))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let s = series(6);
-        let f = |t: u32, frame: &ScalarVolume| (t, frame.mean());
-        assert_eq!(map_frames(&s, f), map_frames_sequential(&s, f));
-    }
-
-    #[test]
-    fn order_is_preserved() {
-        let s = series(9);
-        let out = map_frames(&s, |t, _| t);
-        assert_eq!(out, (0..9).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn explicit_thread_counts_agree() {
-        let s = series(5);
-        let f = |_t: u32, frame: &ScalarVolume| frame.sum();
-        let one = map_frames_with_threads(&s, 1, f);
-        let four = map_frames_with_threads(&s, 4, f);
-        let default = map_frames_with_threads(&s, 0, f);
-        assert_eq!(one, four);
-        assert_eq!(one, default);
-    }
 
     #[test]
     fn pools_are_cached_per_count() {

@@ -83,7 +83,7 @@ impl OpenSpan {
         }
     }
 
-    fn add(&mut self, name: Cow<'static, str>, delta: u64, runtime: bool) {
+    fn add(&mut self, name: &str, delta: u64, runtime: bool) {
         match self
             .counters
             .iter_mut()
@@ -91,7 +91,7 @@ impl OpenSpan {
         {
             Some(c) => c.value += delta,
             None => self.counters.push(Counter {
-                name: name.into_owned(),
+                name: name.to_owned(),
                 value: delta,
                 runtime,
             }),
@@ -159,7 +159,7 @@ struct Local {
     /// spans).
     owner: bool,
     /// Counter deltas not yet merged into `scope`: `(name, delta, runtime)`.
-    entries: Vec<(Cow<'static, str>, u64, bool)>,
+    entries: Vec<(&'static str, u64, bool)>,
 }
 
 impl Local {
@@ -360,7 +360,7 @@ macro_rules! obs_span {
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if live() {
-        record(Cow::Borrowed(name), delta, false);
+        record(name, delta, false);
     }
 }
 
@@ -369,21 +369,11 @@ pub fn counter(name: &'static str, delta: u64) {
 #[inline]
 pub fn counter_runtime(name: &'static str, delta: u64) {
     if live() {
-        record(Cow::Borrowed(name), delta, true);
+        record(name, delta, true);
     }
 }
 
-/// [`counter_runtime`] with a runtime-built name (e.g. a per-tenant label
-/// like `serve.tenant.3.rejected`). The name lives only in the capture's own
-/// buffers and span tree, so nothing outlives the capture. Prefer
-/// [`counter_runtime`] anywhere the name is known at compile time.
-pub fn counter_runtime_dyn(name: String, delta: u64) {
-    if live() {
-        record(Cow::Owned(name), delta, true);
-    }
-}
-
-fn record(name: Cow<'static, str>, delta: u64, runtime: bool) {
+fn record(name: &'static str, delta: u64, runtime: bool) {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         if l.scope.is_none() {
@@ -847,7 +837,7 @@ mod tests {
                 s.spawn(|| {
                     assert!(!is_enabled());
                     counter("stray", 1);
-                    counter_runtime_dyn("stray.dyn".to_string(), 1);
+                    counter_runtime("stray.rt", 1);
                     let _s = span("stray-span");
                 });
             });
@@ -856,7 +846,7 @@ mod tests {
         let par = trace.root.find("par").expect("par span");
         assert_eq!(par.counter("own"), Some(1));
         assert_eq!(par.counter("stray"), None);
-        assert_eq!(par.counter("stray.dyn"), None);
+        assert_eq!(par.counter("stray.rt"), None);
         assert!(trace.root.find("stray-span").is_none());
     }
 
@@ -876,7 +866,7 @@ mod tests {
                         s.spawn(|| {
                             let _obs = scope.enter();
                             counter(tag, 1);
-                            counter_runtime_dyn(format!("{tag}.dyn"), 1);
+                            counter_runtime("rt", 1);
                         });
                     }
                 });
@@ -890,7 +880,7 @@ mod tests {
             both_live.wait();
             let _s = span("noise");
             counter("noise", 1);
-            counter_runtime_dyn("noise.dyn".to_string(), 1);
+            counter_runtime("rt", 1);
             let seen = (is_enabled(), snapshot().is_none());
             both_live.wait();
             (a.join().unwrap(), b.join().unwrap(), seen)
@@ -901,7 +891,7 @@ mod tests {
             let stage = trace.root.find(tag).expect("own span");
             assert_eq!(stage.counters.len(), 2, "{tag}: {trace:?}");
             assert_eq!(stage.counter(tag), Some(3));
-            assert_eq!(stage.counter(&format!("{tag}.dyn")), Some(2));
+            assert_eq!(stage.counter("rt"), Some(2));
         }
     }
 

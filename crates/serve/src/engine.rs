@@ -14,13 +14,16 @@
 //! # Fairness and backpressure
 //!
 //! Admission is per-tenant: each tenant may have at most
-//! [`ServeConfig::max_inflight_per_tenant`] requests executing (or queued at
-//! the batcher / blocked on paging) at once. The bound is checked at entry —
+//! [`ServeConfig::max_inflight_per_tenant`] requests executing (or blocked
+//! on paging) at once. The bound is checked at entry —
 //! a request over the bound is *rejected immediately* with a typed
 //! `Overloaded` error rather than queued, so one greedy tenant can saturate
 //! only its own lane while the byte budget is contended, never the accept
 //! path of others. Counters satisfy `accepted + rejected == sent` at any
 //! quiescent point.
+//!
+//! Every verb, MLP work included, runs on the worker that admitted it, so a
+//! tenant whose page-in stalls holds up only its own lane.
 //!
 //! # Why responses are schedule-independent
 //!
@@ -33,13 +36,9 @@
 //! exception (it *reports* scheduling), mirroring how runtime counters are
 //! stripped from stable traces.
 
-use crate::batch::{Batcher, JobKind, JobOut};
 use crate::error::ServeError;
-use crate::protocol::{
-    Axis, ErrorCode, Request, Response, ResponseBody, StatsReport, Verb, WireCriterion,
-};
+use crate::protocol::{Axis, Request, Response, ResponseBody, StatsReport, Verb, WireCriterion};
 use ifet_core::prelude::*;
-use ifet_obs as obs;
 use ifet_render::{render_slice, SliceAxis};
 use ifet_volume::{CacheBudget, CacheBudgetHandle, FrameSource, OutOfCoreSeries, ReadFaultHook};
 use std::collections::{BTreeMap, HashMap};
@@ -78,8 +77,6 @@ impl Default for ServeConfig {
 /// One artifact resident in the engine: the paged series and the loaded
 /// session, shared by every tenant bound to it.
 pub struct SharedSession {
-    key: String,
-    series: Arc<OutOfCoreSeries>,
     session: VisSession<Arc<OutOfCoreSeries>>,
     /// Residency group this artifact's bytes are attributed to in the shared
     /// budget (assigned at first open; see `ServeConfig::tenant_quota_bytes`).
@@ -87,11 +84,6 @@ pub struct SharedSession {
 }
 
 impl SharedSession {
-    /// The artifact path this session was loaded from.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
     /// The residency group this artifact pages under.
     pub fn residency_group(&self) -> u64 {
         self.group
@@ -104,7 +96,7 @@ impl SharedSession {
 
     /// The shared paged series (for cache stats and fault injection).
     pub fn series(&self) -> &OutOfCoreSeries {
-        &self.series
+        self.session.series()
     }
 }
 
@@ -133,7 +125,10 @@ struct Inner {
     /// last tenant binding, not with the map entry.
     artifacts: Mutex<HashMap<String, Weak<SharedSession>>>,
     tenants: Mutex<BTreeMap<u32, Arc<Tenant>>>,
-    batcher: Batcher,
+    /// MLP jobs run (classifications and IATF generations, refused ones
+    /// included) and the voxel rows the successful ones fed the MLP.
+    mlp_jobs: AtomicU64,
+    mlp_rows: AtomicU64,
     /// Fault hooks by artifact key, applied at open time (chaos testing).
     fault_hooks: Mutex<HashMap<String, ReadFaultHook>>,
     /// Residency-group id allocator (0 is the budget's default group, never
@@ -157,7 +152,8 @@ impl ServeEngine {
                 budget,
                 artifacts: Mutex::new(HashMap::new()),
                 tenants: Mutex::new(BTreeMap::new()),
-                batcher: Batcher::start(),
+                mlp_jobs: AtomicU64::new(0),
+                mlp_rows: AtomicU64::new(0),
                 fault_hooks: Mutex::new(HashMap::new()),
                 next_group: AtomicU64::new(1),
             }),
@@ -206,7 +202,6 @@ impl ServeEngine {
         if depth > self.inner.cfg.max_inflight_per_tenant {
             tenant.inflight.fetch_sub(1, Ordering::SeqCst);
             tenant.rejected.fetch_add(1, Ordering::SeqCst);
-            obs::counter_runtime_dyn(format!("serve.tenant.{}.rejected", req.tenant), 1);
             let err = ServeError::Overloaded {
                 tenant: req.tenant,
                 inflight: depth - 1,
@@ -215,7 +210,6 @@ impl ServeEngine {
             return error_response(&req, &err);
         }
         tenant.accepted.fetch_add(1, Ordering::SeqCst);
-        obs::counter_runtime_dyn(format!("serve.tenant.{}.accepted", req.tenant), 1);
         let body = self.execute(&tenant, &req).unwrap_or_else(|e| err_body(&e));
         tenant.inflight.fetch_sub(1, Ordering::SeqCst);
         tenant.completed.fetch_add(1, Ordering::SeqCst);
@@ -227,20 +221,12 @@ impl ServeEngine {
     }
 
     /// Byte-in/byte-out entry: decode a request frame, handle it, encode
-    /// the response frame. A malformed frame yields an error response with
-    /// `request_id`/`tenant` zero and code `Protocol` — corrupted bytes can
-    /// never be attributed to a session (the CRC covers the whole payload).
+    /// the response frame. A malformed frame yields
+    /// [`Response::protocol_error`], never a reply attributed to a session.
     pub fn handle_wire(&self, frame: &[u8]) -> Vec<u8> {
         let rsp = match crate::protocol::decode_request(frame) {
             Ok(req) => self.handle(req),
-            Err(e) => Response {
-                request_id: 0,
-                tenant: 0,
-                body: ResponseBody::Err {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                },
-            },
+            Err(e) => Response::protocol_error(&e),
         };
         crate::protocol::encode_response(&rsp)
     }
@@ -248,7 +234,7 @@ impl ServeEngine {
     /// Snapshot a tenant's counters (test and stats-verb surface).
     pub fn tenant_stats(&self, tenant: u32) -> StatsReport {
         let t = self.tenant_entry(tenant);
-        let c = &self.inner.batcher.counters;
+        let jobs = self.inner.mlp_jobs.load(Ordering::SeqCst);
         let b = self.inner.budget.stats();
         StatsReport {
             sent: t.sent.load(Ordering::SeqCst),
@@ -256,9 +242,9 @@ impl ServeEngine {
             rejected: t.rejected.load(Ordering::SeqCst),
             completed: t.completed.load(Ordering::SeqCst),
             max_depth: t.max_depth.load(Ordering::SeqCst),
-            batch_jobs: c.jobs.load(Ordering::SeqCst),
-            batch_cycles: c.cycles.load(Ordering::SeqCst),
-            batch_rows: c.rows.load(Ordering::SeqCst),
+            batch_jobs: jobs,
+            batch_cycles: jobs,
+            batch_rows: self.inner.mlp_rows.load(Ordering::SeqCst),
             evictions: b.evictions,
             quota_evictions: b.quota_evictions,
             idle_evictions: b.idle_evictions,
@@ -293,20 +279,15 @@ impl ServeEngine {
             Verb::Classify { step, tau } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
                 let _active = GroupActivity::enter(&self.inner.budget, shared.group);
-                match self.inner.batcher.submit(
-                    shared,
-                    JobKind::Classify {
-                        step: *step,
-                        tau: *tau,
-                    },
-                )? {
-                    JobOut::Mask { voxels, words } => {
-                        Ok(ResponseBody::ClassifyOk { voxels, words })
-                    }
-                    JobOut::Tf(_) => Err(ServeError::Session {
-                        reason: "batch worker returned mismatched output".into(),
-                    }),
-                }
+                let mask = self
+                    .mlp_job(&shared, |s| s.try_extract_data_space(*step, *tau))?
+                    .ok_or_else(|| {
+                        refusal(shared.session().classifier().is_some(), "classifier", *step)
+                    })?;
+                Ok(ResponseBody::ClassifyOk {
+                    voxels: mask.count() as u64,
+                    words: mask.words().to_vec(),
+                })
             }
             Verb::Track { criterion, seeds } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
@@ -405,21 +386,10 @@ impl ServeEngine {
         }
         let mut img = render_slice(&frame, axis, k as usize, session.colormap);
         if adaptive {
-            // IATF-generated opacity modulates the slice — the generation
-            // itself is MLP work, so it goes through the batcher like any
-            // other tenant's.
-            let tf = match self
-                .inner
-                .batcher
-                .submit(Arc::clone(shared), JobKind::GenerateTf { step })?
-            {
-                JobOut::Tf(tf) => tf,
-                JobOut::Mask { .. } => {
-                    return Err(ServeError::Session {
-                        reason: "batch worker returned mismatched output".into(),
-                    })
-                }
-            };
+            // IATF-generated opacity modulates the slice.
+            let tf = self
+                .mlp_job(shared, |s| s.try_adaptive_tf_at_step(step))?
+                .ok_or_else(|| refusal(session.iatf().is_some(), "IATF", step))?;
             let (w, h, data) = ifet_render::slice_data(&frame, axis, k as usize);
             for y in 0..h {
                 for x in 0..w {
@@ -440,6 +410,25 @@ impl ServeEngine {
             height: h as u32,
             rgb,
         })
+    }
+
+    /// Run one MLP job (a classification or an IATF generation) on the
+    /// calling worker, counting it and, when it produced output, the voxel
+    /// rows it fed the MLP.
+    fn mlp_job<T>(
+        &self,
+        shared: &SharedSession,
+        run: impl FnOnce(&VisSession<Arc<OutOfCoreSeries>>) -> Result<Option<T>, SessionError>,
+    ) -> Result<Option<T>, ServeError> {
+        self.inner.mlp_jobs.fetch_add(1, Ordering::SeqCst);
+        let out = run(shared.session()).map_err(|e| ServeError::Session {
+            reason: e.to_string(),
+        })?;
+        if out.is_some() {
+            let rows = shared.series().dims().len() as u64;
+            self.inner.mlp_rows.fetch_add(rows, Ordering::SeqCst);
+        }
+        Ok(out)
     }
 
     fn bound_session(&self, tenant: &Tenant, id: u32) -> Result<Arc<SharedSession>, ServeError> {
@@ -480,17 +469,11 @@ impl ServeEngine {
         if let Some(q) = self.inner.cfg.tenant_quota_bytes {
             self.inner.budget.set_group_quota(group, Some(q));
         }
-        let series = Arc::new(series);
         let session =
-            VisSession::load(Arc::clone(&series), artifact).map_err(|e| ServeError::Open {
+            VisSession::load(Arc::new(series), artifact).map_err(|e| ServeError::Open {
                 reason: e.to_string(),
             })?;
-        let shared = Arc::new(SharedSession {
-            key: artifact.to_string(),
-            series,
-            session,
-            group,
-        });
+        let shared = Arc::new(SharedSession { session, group });
         map.insert(artifact.to_string(), Arc::downgrade(&shared));
         Ok(shared)
     }
@@ -529,6 +512,20 @@ impl<'a> GroupActivity<'a> {
 impl Drop for GroupActivity<'_> {
     fn drop(&mut self) {
         self.budget.group_exit(self.group);
+    }
+}
+
+/// Why an MLP job produced nothing for `step`: the session has no trained
+/// `model`, or the series has no such step.
+fn refusal(trained: bool, model: &str, step: u32) -> ServeError {
+    if trained {
+        ServeError::BadRequest {
+            reason: format!("step {step} not in the series"),
+        }
+    } else {
+        ServeError::Session {
+            reason: format!("no trained {model} in this session"),
+        }
     }
 }
 

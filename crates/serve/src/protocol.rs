@@ -246,11 +246,12 @@ pub struct StatsReport {
     pub completed: u64,
     /// Highest concurrent in-flight depth this tenant ever reached.
     pub max_depth: u64,
-    /// Engine-wide: jobs that went through the cross-session batcher.
+    /// Engine-wide: MLP jobs run (classifications and IATF generations).
     pub batch_jobs: u64,
-    /// Engine-wide: batch cycles (one queue drain each).
+    /// Engine-wide: always equal to `batch_jobs`, since each MLP job runs
+    /// alone on its worker. Kept so the wire format is unchanged.
     pub batch_cycles: u64,
-    /// Engine-wide: voxel rows pushed through the MLP by batched jobs.
+    /// Engine-wide: voxel rows pushed through the MLP by those jobs.
     pub batch_rows: u64,
     /// Engine-wide: frames evicted from the shared cache budget.
     pub evictions: u64,
@@ -314,6 +315,22 @@ pub struct Response {
     pub request_id: u64,
     pub tenant: u32,
     pub body: ResponseBody,
+}
+
+impl Response {
+    /// The reply to bytes that failed to decode: code `Protocol`, with
+    /// `request_id` and `tenant` zero, since corrupted bytes are
+    /// attributable to no session (the CRC covers the whole payload).
+    pub fn protocol_error(e: &ProtocolError) -> Self {
+        Self {
+            request_id: 0,
+            tenant: 0,
+            body: ResponseBody::Err {
+                code: ErrorCode::Protocol,
+                message: e.to_string(),
+            },
+        }
+    }
 }
 
 // ---- encoding ----

@@ -353,18 +353,10 @@ fn reader_loop(
     pool.close(slot);
 }
 
-/// Framing is lost: answer with a typed protocol error (request id 0 —
-/// corrupted bytes are attributable to no session) through the writer, then
-/// let the connection close.
+/// Framing is lost: answer with a typed protocol error through the writer,
+/// then let the connection close.
 fn reject_and_close(conn: &Conn, tx: &mpsc::Sender<Vec<u8>>, e: &ProtocolError) {
-    let rsp = encode_response(&Response {
-        request_id: 0,
-        tenant: 0,
-        body: ResponseBody::Err {
-            code: crate::protocol::ErrorCode::Protocol,
-            message: e.to_string(),
-        },
-    });
+    let rsp = encode_response(&Response::protocol_error(e));
     conn.admit();
     let _ = tx.send(rsp);
 }

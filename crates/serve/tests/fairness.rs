@@ -7,7 +7,9 @@
 //! - the greedy tenant gets its bounded amount of in-flight work, then an
 //!   immediate typed `Overloaded` for everything beyond it — rejected at
 //!   admission, never queued;
-//! - a light tenant on another artifact keeps completing the whole time;
+//! - a light tenant on another artifact keeps completing the whole time,
+//!   MLP verbs included: a greedy classify parked on a page-in holds up no
+//!   other tenant's classify or IATF generation;
 //! - the counter algebra holds for both: `accepted + rejected == sent`.
 
 use ifet_serve::{
@@ -15,7 +17,7 @@ use ifet_serve::{
 };
 use ifet_volume::{CacheBudget, ReadFaultHook};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 #[path = "../../../tests/support/mod.rs"]
@@ -124,15 +126,24 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
     }
 
     std::thread::scope(|s| {
-        // Fill the greedy tenant's bound with tracks that stop at the gate
-        // on their first frame read.
-        let blocked: Vec<_> = (0..BOUND as u64)
-            .map(|i| {
+        // Fill the greedy tenant's bound with a track and a classify that
+        // stop at the gate reading the track seed's frame. Both wait on that
+        // one in-flight read, so the two-frame budget keeps room for the
+        // light tenant.
+        let classify = Request {
+            request_id: 11,
+            tenant: 0,
+            verb: Verb::Classify { step: 0, tau: 0.5 },
+        };
+        let blocked: Vec<_> = [track_req(10, 0), classify]
+            .into_iter()
+            .map(|req| {
                 let engine = engine.clone();
-                s.spawn(move || engine.handle(track_req(10 + i, 0)))
+                s.spawn(move || engine.handle(req))
             })
             .collect();
-        // Both are in flight once accepted == 1 open + BOUND tracks with
+        assert_eq!(blocked.len(), BOUND);
+        // Both are in flight once accepted == 1 open + BOUND requests with
         // only the open completed; admission counts them before execution,
         // so from here every further greedy request sees a full lane.
         wait_until(&engine, 0, |accepted, completed| {
@@ -157,7 +168,8 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
         assert_eq!(st.completed, 1, "rejections must not wait on the lane");
 
         // The light tenant's whole session completes while the greedy lane
-        // is wedged: opens, classifies, renders, closes — zero rejections.
+        // is wedged: opens, classifies, renders an adaptive slice, closes —
+        // zero rejections.
         let light = [
             open_req(50, 1, &fx_light),
             Request {
@@ -175,7 +187,7 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
                     step: STEP_STRIDE,
                     axis: Axis::Z,
                     k: 6,
-                    adaptive: false,
+                    adaptive: true,
                 },
             },
             Request {
@@ -184,9 +196,33 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
                 verb: Verb::Close,
             },
         ];
-        for req in light {
-            let id = req.request_id;
-            if let ResponseBody::Err { code, message } = engine.handle(req).body {
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let engine = engine.clone();
+            s.spawn(move || {
+                for req in light {
+                    let _ = done_tx.send((req.request_id, engine.handle(req).body));
+                }
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let light_replies: Vec<_> = std::iter::from_fn(|| {
+            done_rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .ok()
+        })
+        .take(4)
+        .collect();
+        // Open the gate before asserting, so a light tenant stuck behind the
+        // greedy lane fails the test instead of hanging it.
+        gate.release();
+        assert_eq!(
+            light_replies.len(),
+            4,
+            "light tenant stalled behind the gated greedy lane: {light_replies:?}"
+        );
+        for (id, body) in light_replies {
+            if let ResponseBody::Err { code, message } = body {
                 panic!("light request {id} failed: {code:?} {message}")
             }
         }
@@ -196,15 +232,15 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
         assert_eq!(lt.completed, 4);
         assert_eq!(lt.accepted + lt.rejected, lt.sent);
 
-        // Open the gate: the blocked tracks finish as real answers — the
-        // bound delayed them, it never corrupted them.
-        gate.release();
+        // The gate is open: the blocked requests finish as real answers —
+        // the bound delayed them, it never corrupted them.
         for h in blocked {
             match h.join().unwrap().body {
                 ResponseBody::TrackOk {
                     voxels_per_frame, ..
                 } => assert!(voxels_per_frame[0] > 0),
-                other => panic!("gated track failed after release: {other:?}"),
+                ResponseBody::ClassifyOk { .. } => {}
+                other => panic!("gated request failed after release: {other:?}"),
             }
         }
     });
