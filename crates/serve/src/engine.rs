@@ -56,10 +56,10 @@ pub struct ServeConfig {
     pub max_inflight_per_tenant: usize,
     /// Read-ahead depth for newly opened series (0 = no prefetch).
     pub prefetch: usize,
-    /// Resident-byte quota applied to each opened artifact's residency
-    /// group (`None` = unlimited). A tenant whose artifact is over quota
-    /// evicts its *own* LRU frames first; tenants sharing an artifact share
-    /// its quota. See `CacheBudgetHandle::set_group_quota`.
+    /// Resident-byte quota applied to each opened artifact's series
+    /// (`None` = unlimited). A tenant whose artifact is over quota evicts
+    /// its *own* LRU frames first; tenants sharing an artifact share its
+    /// quota. See `OutOfCoreSeries::set_quota`.
     pub tenant_quota_bytes: Option<u64>,
 }
 
@@ -78,17 +78,9 @@ impl Default for ServeConfig {
 /// session, shared by every tenant bound to it.
 pub struct SharedSession {
     session: VisSession<Arc<OutOfCoreSeries>>,
-    /// Residency group this artifact's bytes are attributed to in the shared
-    /// budget (assigned at first open; see `ServeConfig::tenant_quota_bytes`).
-    group: u64,
 }
 
 impl SharedSession {
-    /// The residency group this artifact pages under.
-    pub fn residency_group(&self) -> u64 {
-        self.group
-    }
-
     /// The resident session (read-only under serving).
     pub fn session(&self) -> &VisSession<Arc<OutOfCoreSeries>> {
         &self.session
@@ -122,7 +114,8 @@ struct Inner {
     cfg: ServeConfig,
     budget: CacheBudgetHandle,
     /// Artifact key → resident session. `Weak` so residency ends with the
-    /// last tenant binding, not with the map entry.
+    /// last tenant binding, not with the map entry; dead entries are pruned
+    /// on every insert.
     artifacts: Mutex<HashMap<String, Weak<SharedSession>>>,
     tenants: Mutex<BTreeMap<u32, Arc<Tenant>>>,
     /// MLP jobs run (classifications and IATF generations, refused ones
@@ -131,9 +124,6 @@ struct Inner {
     mlp_rows: AtomicU64,
     /// Fault hooks by artifact key, applied at open time (chaos testing).
     fault_hooks: Mutex<HashMap<String, ReadFaultHook>>,
-    /// Residency-group id allocator (0 is the budget's default group, never
-    /// handed to an artifact).
-    next_group: AtomicU64,
 }
 
 /// The multi-tenant serving engine. Cheap to clone (shared state); all
@@ -155,7 +145,6 @@ impl ServeEngine {
                 mlp_jobs: AtomicU64::new(0),
                 mlp_rows: AtomicU64::new(0),
                 fault_hooks: Mutex::new(HashMap::new()),
-                next_group: AtomicU64::new(1),
             }),
         }
     }
@@ -278,7 +267,7 @@ impl ServeEngine {
             }
             Verb::Classify { step, tau } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
-                let _active = GroupActivity::enter(&self.inner.budget, shared.group);
+                let _active = shared.series().activity();
                 let mask = self
                     .mlp_job(&shared, |s| s.try_extract_data_space(*step, *tau))?
                     .ok_or_else(|| {
@@ -291,7 +280,7 @@ impl ServeEngine {
             }
             Verb::Track { criterion, seeds } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
-                let _active = GroupActivity::enter(&self.inner.budget, shared.group);
+                let _active = shared.series().activity();
                 let spec = match criterion {
                     WireCriterion::FixedBand { lo, hi } => {
                         CriterionSpec::FixedBand { lo: *lo, hi: *hi }
@@ -331,7 +320,7 @@ impl ServeEngine {
                 adaptive,
             } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
-                let _active = GroupActivity::enter(&self.inner.budget, shared.group);
+                let _active = shared.series().activity();
                 self.render_slice(&shared, *step, *axis, *k, *adaptive)
             }
             Verb::ReportStats => Ok(ResponseBody::StatsOk(self.tenant_stats(req.tenant))),
@@ -461,19 +450,18 @@ impl ServeEngine {
         if let Some(hook) = lock(&self.inner.fault_hooks).get(artifact) {
             series.set_read_fault_hook(Some(hook.clone()));
         }
-        // Assign the artifact its residency group before any frame read so
-        // every byte it pages is attributed (and quota-bounded) from the
-        // start. Loading below reads only the artifact file, never frames.
-        let group = self.inner.next_group.fetch_add(1, Ordering::Relaxed);
-        series.set_residency_group(group);
-        if let Some(q) = self.inner.cfg.tenant_quota_bytes {
-            self.inner.budget.set_group_quota(group, Some(q));
-        }
+        // Set the quota before any frame read so every byte the artifact
+        // pages is bounded from the start. Loading below reads only the
+        // artifact file, never frames.
+        series.set_quota(self.inner.cfg.tenant_quota_bytes);
         let session =
             VisSession::load(Arc::new(series), artifact).map_err(|e| ServeError::Open {
                 reason: e.to_string(),
             })?;
-        let shared = Arc::new(SharedSession { session, group });
+        let shared = Arc::new(SharedSession { session });
+        // Keys are client-chosen spellings of a path, so without pruning an
+        // open/close loop over fresh spellings would grow the map forever.
+        map.retain(|_, w| w.strong_count() > 0);
         map.insert(artifact.to_string(), Arc::downgrade(&shared));
         Ok(shared)
     }
@@ -492,27 +480,6 @@ fn frame_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// RAII activity marker for a residency group: while any request against an
-/// artifact is executing, the budget's eviction policy deprioritizes that
-/// artifact's frames (idle tenants' frames go first).
-struct GroupActivity<'a> {
-    budget: &'a CacheBudgetHandle,
-    group: u64,
-}
-
-impl<'a> GroupActivity<'a> {
-    fn enter(budget: &'a CacheBudgetHandle, group: u64) -> Self {
-        budget.group_enter(group);
-        Self { budget, group }
-    }
-}
-
-impl Drop for GroupActivity<'_> {
-    fn drop(&mut self) {
-        self.budget.group_exit(self.group);
-    }
 }
 
 /// Why an MLP job produced nothing for `step`: the session has no trained
@@ -541,5 +508,53 @@ fn error_response(req: &Request, e: &ServeError) -> Response {
         request_id: req.request_id,
         tenant: req.tenant,
         body: err_body(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn artifact_map_keeps_no_dead_spellings() {
+        let dir = std::env::temp_dir().join(format!("ifet_serve_spellings_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let series = TimeSeries::from_frames(
+            (0..2u32)
+                .map(|t| (t, ScalarVolume::filled(Dims3::cube(4), t as f32)))
+                .collect(),
+        );
+        ifet_volume::io::write_series(&dir, "f", &series).unwrap();
+        let artifact = dir.join("session.ifet");
+        VisSession::new(series).unwrap().save(&artifact).unwrap();
+        let engine = ServeEngine::new(ServeConfig::default());
+        let data_dir = dir.display().to_string();
+        let run = |request_id: u64, verb: Verb| {
+            engine
+                .handle(Request {
+                    request_id,
+                    tenant: 0,
+                    verb,
+                })
+                .body
+        };
+        // `d/a.ifet`, `d/./a.ifet`, `d/././a.ifet`, ...: one file, 1000 keys.
+        for k in 0..1000 {
+            let spelling = format!("{}/{}session.ifet", data_dir, "./".repeat(k));
+            let open = Verb::Open {
+                artifact: spelling,
+                data_dir: data_dir.clone(),
+            };
+            assert!(matches!(
+                run(2 * k as u64, open),
+                ResponseBody::OpenOk { .. }
+            ));
+            assert!(matches!(
+                run(2 * k as u64 + 1, Verb::Close),
+                ResponseBody::CloseOk
+            ));
+        }
+        assert!(lock(&engine.inner.artifacts).len() <= 1);
+        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -16,8 +16,8 @@
 //!   [`ProtocolError`]s for every corruption mode.
 //! - [`engine`] — [`ServeEngine`]: session residency and sharing,
 //!   per-tenant admission (bounded in-flight work, typed `Overloaded`
-//!   backpressure), and per-artifact residency-quota groups on the shared
-//!   cache budget. MLP verbs run on the worker that admitted them.
+//!   backpressure), and a residency quota per artifact series on the
+//!   shared cache budget. MLP verbs run on the worker that admitted them.
 //! - [`server`] — the Unix-socket transport (`ifet serve` / `ifet
 //!   client`): per-connection reader/writer threads around a fixed
 //!   worker-pool executor, multiplexed pipelined connections (replies in

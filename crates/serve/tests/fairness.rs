@@ -324,8 +324,8 @@ fn tenant_quota_evicts_own_frames_and_leaves_neighbours_resident() {
     let key_b = fx_b.artifact.display().to_string();
     let shared_a = engine.resident(&key_a).expect("a stays resident");
     let shared_b = engine.resident(&key_b).expect("b stays resident");
-    let ga = engine.budget().group_stats(shared_a.residency_group());
-    let gb = engine.budget().group_stats(shared_b.residency_group());
+    let ga = shared_a.series().residency();
+    let gb = shared_b.series().residency();
 
     // Per-tenant bound: the paging tenant never exceeded its quota and
     // paid exactly the overflow in quota-local evictions.
@@ -339,7 +339,7 @@ fn tenant_quota_evicts_own_frames_and_leaves_neighbours_resident() {
     assert_eq!(ga.quota_evictions, 2, "4 frames through a 2-frame quota");
 
     // The neighbour was untouched: still at quota, zero evictions — both
-    // in its group account and on its own series.
+    // in its residency account and in its paging stats.
     assert_eq!(gb.resident_bytes, 2 * FRAME_BYTES);
     assert_eq!(gb.quota_evictions, 0);
     assert_eq!(

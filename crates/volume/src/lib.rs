@@ -60,8 +60,8 @@ pub use maskio::{decode_mask, encode_mask, encode_mask_into, MaskIoError};
 pub use mmapio::{map_frame, Mapping};
 pub use multivol::{MultiSeries, MultiVolume};
 pub use ooc::{
-    BudgetStats, CacheBudget, CacheBudgetHandle, CacheStats, GroupStats, OutOfCoreSeries,
-    ReadFault, ReadFaultHook,
+    Activity, BudgetStats, CacheBudget, CacheBudgetHandle, CacheStats, OutOfCoreSeries, ReadFault,
+    ReadFaultHook, ResidencyStats,
 };
 pub use series::{SeriesError, TimeSeries};
 pub use sink::{FrameSink, OutOfCoreSink, TimeSeriesSink};

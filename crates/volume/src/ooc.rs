@@ -15,20 +15,29 @@
 //! Residency is governed by a [`CacheBudget`] — either a frame count or a
 //! byte total — owned by a [`CacheBudgetHandle`]. The handle is cloneable and
 //! may be shared across several series (a multi-variable session opens one
-//! series per variable); eviction is then *global*: the least-recently-used
-//! frame across every member series is evicted first, charged by its actual
-//! byte size. In-flight reads (demand misses and prefetches that have
-//! reserved space but not yet committed) count against the budget, so the
-//! high-water marks are honest even while the prefetch worker is mid-read.
+//! series per variable). The budget owns one paging table for all of them:
+//! every resident frame, keyed by (series, frame index), carries a stamp from
+//! one recency clock, and eviction takes the least-recently-stamped frame
+//! across every series, charged by its actual byte size. One mutex guards
+//! the table, the reads in flight and every byte account. In-flight reads
+//! (demand misses and prefetches that have reserved space but not yet
+//! committed) count against the budget, so the high-water marks are honest
+//! even while the prefetch worker is mid-read.
 //!
-//! The bound covers *accounted* memory: frames resident in some member's
-//! cache plus reads in flight. A frame handed out by [`OutOfCoreSeries::frame`]
+//! A series may also carry a resident-byte quota
+//! ([`OutOfCoreSeries::set_quota`]): over it, the series evicts its own
+//! least-recent frames before the shared budget acts. While an
+//! [`OutOfCoreSeries::activity`] guard is alive the series counts as active,
+//! and shared-budget eviction takes an idle series' frame when one exists.
+//!
+//! The bound covers *accounted* memory: frames resident in the table plus
+//! reads in flight. A frame handed out by [`OutOfCoreSeries::frame`]
 //! (or a `FrameHandle` over it) is an `Arc` that stays alive after eviction
 //! until its holder drops it, and is no longer charged. A caller walking a
 //! series through `map_frames_windowed` holds at most one window of handles,
 //! so actual memory can exceed the bound by at most one window per
-//! concurrent walker. When a series is dropped, its resident frames leave
-//! the budget with it.
+//! concurrent walker. When a series is dropped, its resident frames and its
+//! accounts leave the budget with it.
 //!
 //! # Prefetch
 //!
@@ -44,13 +53,12 @@
 //! then degrades silently while demand reads surface the error.
 
 use crate::dims::Dims3;
-use crate::io::{write_series_with, IoError};
+use crate::io::IoError;
 use crate::series::TimeSeries;
 use crate::volume::ScalarVolume;
-use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Paging statistics for one [`OutOfCoreSeries`].
@@ -120,40 +128,37 @@ pub struct BudgetStats {
     pub high_water_bytes: u64,
     /// Total evictions driven by this budget (all member series).
     pub evictions: u64,
-    /// Evictions performed by the quota-local phase: a group over its own
+    /// Evictions performed by the quota-local phase: a series over its own
     /// byte quota reclaiming its own LRU frames.
     pub quota_evictions: u64,
     /// Global evictions redirected away from the globally least-recent frame
-    /// because its residency group was active and an idle group's frame was
+    /// because its series was active and an idle series' frame was
     /// available instead.
     pub idle_evictions: u64,
 }
 
-/// Accounting for one residency group under a [`CacheBudgetHandle`]; see
-/// [`OutOfCoreSeries::set_residency_group`].
+/// One series' share of its budget; see [`OutOfCoreSeries::residency`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupStats {
+pub struct ResidencyStats {
     pub resident_bytes: u64,
     pub inflight_bytes: u64,
-    /// Peak `resident + inflight` bytes for this group.
+    /// Peak `resident + inflight` bytes for this series.
     pub high_water_bytes: u64,
-    /// The group's resident-byte quota, if one is set.
+    /// The series' resident-byte quota, if one is set.
     pub quota_bytes: Option<u64>,
-    /// Evictions the quota-local phase charged to this group.
+    /// Evictions the quota-local phase charged to this series.
     pub quota_evictions: u64,
-    /// In-flight activity refcount (see [`CacheBudgetHandle::group_enter`]).
+    /// Live [`Activity`] guards on this series.
     pub active: usize,
 }
 
-const NIL: usize = usize::MAX;
+/// A paging-table key: (series id, frame index).
+type Key = (u64, usize);
 
-/// One resident frame, threaded on an intrusive LRU list over slot indices.
-struct Slot {
-    frame: usize,
+/// One resident frame.
+struct Entry {
     vol: Arc<ScalarVolume>,
-    prev: usize,
-    next: usize,
-    /// Global recency stamp (from the budget's tick) for cross-series LRU.
+    /// Recency stamp; the smallest stamp is the least recently used frame.
     stamp: u64,
     /// Loaded by the prefetch worker and not yet touched by demand.
     prefetched: bool,
@@ -162,402 +167,236 @@ struct Slot {
     bytes: u64,
 }
 
-/// Per-series cache state: a frame-index map into a slot slab whose occupied
-/// slots form a doubly-linked recency list (`head` = least recent, `tail` =
-/// most recent), plus the set of frame indices currently being read.
-struct Cache {
-    map: HashMap<usize, usize>,
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    inflight: HashSet<usize>,
-    stats: CacheStats,
-}
-
-impl Cache {
-    fn new() -> Self {
-        Self {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            inflight: HashSet::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    fn detach(&mut self, s: usize) {
-        let (prev, next) = {
-            let e = self.slots[s].as_ref().unwrap();
-            (e.prev, e.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().unwrap().next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().unwrap().prev = prev,
-        }
-    }
-
-    fn attach_most_recent(&mut self, s: usize) {
-        {
-            let e = self.slots[s].as_mut().unwrap();
-            e.prev = self.tail;
-            e.next = NIL;
-        }
-        match self.tail {
-            NIL => self.head = s,
-            t => self.slots[t].as_mut().unwrap().next = s,
-        }
-        self.tail = s;
-    }
-
-    /// Demand lookup: on a hit, refresh recency, stamp, and the prefetch
-    /// bookkeeping. Does *not* count misses — the caller decides whether an
-    /// absence becomes a miss (it may first wait out an in-flight read).
-    fn get_resident(&mut self, idx: usize, stamp: u64) -> Option<Arc<ScalarVolume>> {
-        let &s = self.map.get(&idx)?;
-        self.detach(s);
-        self.attach_most_recent(s);
-        let e = self.slots[s].as_mut().unwrap();
-        e.stamp = stamp;
-        if e.prefetched {
-            e.prefetched = false;
-            self.stats.prefetch_hits += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetch_hit", 1);
-        }
-        self.stats.hits += 1;
-        ifet_obs::counter_runtime("volume.ooc.hit", 1);
-        Some(e.vol.clone())
-    }
-
-    fn note_miss(&mut self) {
-        self.stats.misses += 1;
-        ifet_obs::counter_runtime("volume.ooc.miss", 1);
-    }
-
-    /// Insert a committed load charged at `bytes`. The budget has already
-    /// reserved space; the in-flight guard guarantees no duplicate entry.
-    fn insert(
-        &mut self,
-        idx: usize,
-        vol: Arc<ScalarVolume>,
-        stamp: u64,
-        prefetched: bool,
-        bytes: u64,
-    ) {
-        debug_assert!(!self.map.contains_key(&idx));
-        let s = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        self.slots[s] = Some(Slot {
-            frame: idx,
-            vol,
-            prev: NIL,
-            next: NIL,
-            stamp,
-            prefetched,
-            bytes,
-        });
-        self.attach_most_recent(s);
-        self.map.insert(idx, s);
-        self.stats.bytes_paged += bytes;
-        self.stats.resident_bytes += bytes;
-        ifet_obs::counter_runtime("volume.ooc.bytes_paged", bytes);
-        if prefetched {
-            self.stats.prefetched += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetched", 1);
-        }
-    }
-
-    /// Evict the least-recently-used slot; returns the bytes freed.
-    fn evict_lru(&mut self) -> u64 {
-        let lru = self.head;
-        debug_assert_ne!(lru, NIL);
-        self.detach(lru);
-        let e = self.slots[lru].take().unwrap();
-        self.map.remove(&e.frame);
-        self.free.push(lru);
-        self.stats.evictions += 1;
-        self.stats.resident_bytes -= e.bytes;
-        ifet_obs::counter_runtime("volume.ooc.evict", 1);
-        if e.prefetched {
-            self.stats.prefetch_wasted += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetch_wasted", 1);
-        }
-        e.bytes
-    }
-
-    /// Recency stamp of the LRU slot, if any frame is resident.
-    fn lru_stamp(&self) -> Option<u64> {
-        match self.head {
-            NIL => None,
-            h => Some(self.slots[h].as_ref().unwrap().stamp),
-        }
-    }
-}
-
-/// One series' cache plus the condvar its in-flight waiters sleep on.
-struct SeriesCache {
-    cache: Mutex<Cache>,
-    cv: Condvar,
-    /// Residency group this series' bytes are attributed to (0 = the default
-    /// group: no quota, shared with every unassigned series).
-    group: AtomicU64,
-}
-
-/// Per-group residency accounting; created lazily on first touch.
+/// One open series' accounts; created when the series opens, removed when
+/// it drops.
 #[derive(Default)]
-struct GroupState {
-    resident_bytes: u64,
+struct SeriesState {
+    /// Traffic counters plus `resident`/`resident_bytes`; the high-water
+    /// fields are read from the budget instead.
+    stats: CacheStats,
     inflight_bytes: u64,
     hw_bytes: u64,
     quota: Option<u64>,
-    /// Refcount of in-flight requests touching this group; `0` marks the
-    /// group idle, making its frames preferred eviction victims.
+    /// Live activity guards; `0` marks the series idle, making its frames
+    /// preferred eviction victims.
     active: usize,
     quota_evictions: u64,
 }
 
-/// Shared accounting for every series on one budget handle.
+/// Everything one budget governs. In-flight totals change only in
+/// `begin_read`/`end_read`, resident totals only in `end_read`/`remove`.
 #[derive(Default)]
 struct BudgetState {
-    resident_frames: usize,
+    frames: HashMap<Key, Entry>,
+    /// Reads that have reserved space and not yet committed, with their
+    /// charge. A demand for a frame in here waits for it instead of reading.
+    inflight: HashMap<Key, u64>,
+    series: HashMap<u64, SeriesState>,
+    next_series: u64,
+    /// Recency clock: every hit and insert takes the next stamp.
+    tick: u64,
     resident_bytes: u64,
-    inflight_frames: usize,
     inflight_bytes: u64,
     hw_frames: usize,
     hw_bytes: u64,
     evictions: u64,
     quota_evictions: u64,
     idle_evictions: u64,
-    groups: HashMap<u64, GroupState>,
-    members: Vec<Weak<SeriesCache>>,
 }
 
 impl BudgetState {
-    fn group_mut(&mut self, g: u64) -> &mut GroupState {
-        self.groups.entry(g).or_default()
+    fn series_mut(&mut self, id: u64) -> &mut SeriesState {
+        self.series
+            .get_mut(&id)
+            .expect("an open series has an account")
     }
-}
 
-/// Lock order is strictly budget → cache: the budget lock may be held while
-/// member cache locks are taken (eviction, commit), never the reverse.
-struct Budget {
-    limit: CacheBudget,
-    state: Mutex<BudgetState>,
-    cv: Condvar,
-    /// Global recency clock: every touch stamps its slot so eviction can
-    /// order frames across series.
-    tick: AtomicU64,
-}
+    /// Demand lookup: on a hit, refresh the stamp and count the hit (and
+    /// the prefetch hit, on a frame's first demand touch).
+    fn touch(&mut self, key: Key) -> Option<Arc<ScalarVolume>> {
+        let e = self.frames.get_mut(&key)?;
+        self.tick += 1;
+        e.stamp = self.tick;
+        let prefetched = std::mem::take(&mut e.prefetched);
+        let vol = e.vol.clone();
+        let stats = &mut self.series_mut(key.0).stats;
+        if prefetched {
+            stats.prefetch_hits += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetch_hit", 1);
+        }
+        stats.hits += 1;
+        ifet_obs::counter_runtime("volume.ooc.hit", 1);
+        Some(vol)
+    }
 
-impl Budget {
-    fn fits(&self, st: &BudgetState, frame_bytes: u64) -> bool {
-        match self.limit {
-            CacheBudget::Frames(n) => st.resident_frames + st.inflight_frames < n.max(1),
-            CacheBudget::Bytes(b) => st.resident_bytes + st.inflight_bytes + frame_bytes <= b,
+    /// Charge a read of `bytes` for `key` before its bytes land.
+    fn begin_read(&mut self, key: Key, bytes: u64) {
+        self.inflight.insert(key, bytes);
+        self.inflight_bytes += bytes;
+        self.hw_frames = self.hw_frames.max(self.frames.len() + self.inflight.len());
+        self.hw_bytes = self.hw_bytes.max(self.resident_bytes + self.inflight_bytes);
+        let s = self.series_mut(key.0);
+        s.inflight_bytes += bytes;
+        s.hw_bytes = s.hw_bytes.max(s.stats.resident_bytes + s.inflight_bytes);
+    }
+
+    /// End the read of `key`: its charge moves to the resident account with
+    /// `loaded` when the read succeeded, and is released otherwise.
+    fn end_read(&mut self, key: Key, loaded: Option<(Arc<ScalarVolume>, bool)>) {
+        let bytes = self.inflight.remove(&key).expect("a read ends once");
+        self.inflight_bytes -= bytes;
+        let s = self.series_mut(key.0);
+        s.inflight_bytes -= bytes;
+        let Some((vol, prefetched)) = loaded else {
+            return;
+        };
+        s.stats.resident += 1;
+        s.stats.resident_bytes += bytes;
+        s.stats.bytes_paged += bytes;
+        ifet_obs::counter_runtime("volume.ooc.bytes_paged", bytes);
+        if prefetched {
+            s.stats.prefetched += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetched", 1);
+        }
+        self.resident_bytes += bytes;
+        self.tick += 1;
+        let entry = Entry {
+            vol,
+            stamp: self.tick,
+            prefetched,
+            bytes,
+        };
+        self.frames.insert(key, entry);
+    }
+
+    /// Take `key` out of the table and its bytes out of the accounts.
+    fn remove(&mut self, key: Key) -> Entry {
+        let e = self.frames.remove(&key).expect("removing a resident frame");
+        self.resident_bytes -= e.bytes;
+        let stats = &mut self.series_mut(key.0).stats;
+        stats.resident -= 1;
+        stats.resident_bytes -= e.bytes;
+        e
+    }
+
+    /// The least-recently-stamped resident frame of a series `keep` accepts.
+    /// Stamps are unique, so the choice does not depend on map order.
+    fn lru(&self, keep: impl Fn(u64) -> bool) -> Option<Key> {
+        self.frames
+            .iter()
+            .filter(|(k, _)| keep(k.0))
+            .min_by_key(|(_, e)| e.stamp)
+            .map(|(&k, _)| k)
+    }
+
+    fn evict(&mut self, key: Key) {
+        let e = self.remove(key);
+        self.evictions += 1;
+        let stats = &mut self.series_mut(key.0).stats;
+        stats.evictions += 1;
+        ifet_obs::counter_runtime("volume.ooc.evict", 1);
+        if e.prefetched {
+            stats.prefetch_wasted += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetch_wasted", 1);
         }
     }
 
-    /// Account an eviction of `freed` bytes attributed to `group`.
-    fn debit_eviction(st: &mut BudgetState, group: u64, freed: u64) {
-        st.resident_frames -= 1;
-        st.resident_bytes -= freed;
-        st.evictions += 1;
-        let g = st.group_mut(group);
-        g.resident_bytes = g.resident_bytes.saturating_sub(freed);
-    }
-
-    /// Evict the least-recent resident frame, preferring frames whose
-    /// residency group is *idle* (activity refcount zero) over frames of
-    /// active groups. Falls back to the global LRU when every resident frame
-    /// belongs to an active group. Returns `false` when nothing is resident.
-    fn evict_one(&self, st: &mut BudgetState) -> bool {
-        st.members.retain(|w| w.strong_count() > 0);
-        // (member index, stamp, group, group is idle) per member LRU head.
-        let mut global: Option<(usize, u64, u64)> = None;
-        let mut idle: Option<(usize, u64, u64)> = None;
-        for (mi, w) in st.members.iter().enumerate() {
-            let Some(sc) = w.upgrade() else { continue };
-            let c = sc.cache.lock().unwrap();
-            let Some(stamp) = c.lru_stamp() else { continue };
-            let group = sc.group.load(Ordering::Relaxed);
-            if global.map_or(true, |(_, s, _)| stamp < s) {
-                global = Some((mi, stamp, group));
-            }
-            let group_active = st.groups.get(&group).map_or(0, |g| g.active);
-            if group_active == 0 && idle.map_or(true, |(_, s, _)| stamp < s) {
-                idle = Some((mi, stamp, group));
-            }
-        }
-        let Some((gmi, gstamp, ggroup)) = global else {
+    /// The quota-local phase: evict series `id`'s own least-recent frame.
+    /// Returns `false` when it has nothing resident.
+    fn evict_own(&mut self, id: u64) -> bool {
+        let Some(key) = self.lru(|s| s == id) else {
             return false;
         };
-        let (mi, stamp, group) = idle.unwrap_or((gmi, gstamp, ggroup));
-        let Some(sc) = st.members[mi].upgrade() else {
+        self.evict(key);
+        self.quota_evictions += 1;
+        self.series_mut(id).quota_evictions += 1;
+        ifet_obs::counter_runtime("volume.ooc.quota_evict", 1);
+        true
+    }
+
+    /// Evict the least-recent resident frame, preferring frames of *idle*
+    /// series (no live activity guard) over frames of active ones. Returns
+    /// `false` when nothing is resident.
+    fn evict_global(&mut self) -> bool {
+        let Some(lru) = self.lru(|_| true) else {
             return false;
         };
-        let mut c = sc.cache.lock().unwrap();
-        if c.lru_stamp().is_none() {
-            return false;
-        }
-        let freed = c.evict_lru();
-        drop(c);
-        Self::debit_eviction(st, group, freed);
-        if stamp != gstamp {
-            st.idle_evictions += 1;
+        let victim = self.lru(|id| self.series[&id].active == 0).unwrap_or(lru);
+        self.evict(victim);
+        if victim != lru {
+            self.idle_evictions += 1;
             ifet_obs::counter_runtime("volume.ooc.idle_evict", 1);
         }
         true
     }
 
-    /// Evict the least-recent resident frame *within* one residency group
-    /// (the quota-local phase). Returns `false` when the group has nothing
-    /// resident.
-    fn evict_one_in_group(&self, st: &mut BudgetState, group: u64) -> bool {
-        st.members.retain(|w| w.strong_count() > 0);
-        let mut best: Option<(usize, u64)> = None;
-        for (mi, w) in st.members.iter().enumerate() {
-            let Some(sc) = w.upgrade() else { continue };
-            if sc.group.load(Ordering::Relaxed) != group {
-                continue;
-            }
-            let c = sc.cache.lock().unwrap();
-            if let Some(stamp) = c.lru_stamp() {
-                if best.map_or(true, |(_, s)| stamp < s) {
-                    best = Some((mi, stamp));
-                }
-            }
-        }
-        let Some((mi, _)) = best else { return false };
-        let Some(sc) = st.members[mi].upgrade() else {
-            return false;
-        };
-        let mut c = sc.cache.lock().unwrap();
-        if c.lru_stamp().is_none() {
-            return false;
-        }
-        let freed = c.evict_lru();
-        drop(c);
-        Self::debit_eviction(st, group, freed);
-        st.quota_evictions += 1;
-        st.group_mut(group).quota_evictions += 1;
-        ifet_obs::counter_runtime("volume.ooc.quota_evict", 1);
-        true
+    /// Whether series `id` can take `bytes` more without crossing its
+    /// quota. Series without a quota always have room.
+    fn quota_room(&self, id: u64, bytes: u64) -> bool {
+        let s = &self.series[&id];
+        s.quota.map_or(true, |q| {
+            s.stats.resident_bytes + s.inflight_bytes + bytes <= q
+        })
+    }
+}
+
+struct Budget {
+    limit: CacheBudget,
+    state: Mutex<BudgetState>,
+    cv: Condvar,
+}
+
+impl Budget {
+    fn lock(&self) -> MutexGuard<'_, BudgetState> {
+        self.state
+            .lock()
+            .expect("a thread panicked while paging through this budget")
     }
 
-    /// Whether `group` can take `frame_bytes` more without crossing its
-    /// quota. Groups without a quota always have room.
-    fn quota_room(st: &BudgetState, group: u64, frame_bytes: u64) -> bool {
-        match st.groups.get(&group) {
-            Some(g) => match g.quota {
-                Some(q) => g.resident_bytes + g.inflight_bytes + frame_bytes <= q,
-                None => true,
-            },
-            None => true,
+    fn fits(&self, st: &BudgetState, frame_bytes: u64) -> bool {
+        match self.limit {
+            CacheBudget::Frames(n) => st.frames.len() + st.inflight.len() < n.max(1),
+            CacheBudget::Bytes(b) => st.resident_bytes + st.inflight_bytes + frame_bytes <= b,
         }
     }
 
-    /// Reserve space for one in-flight read attributed to `group`, evicting
-    /// and waiting as needed. Two phases: a group over its own quota evicts
+    /// Evict until a read of `frame_bytes` for series `id` may start, and
+    /// say whether it may. Two phases: a series over its own quota evicts
     /// its *own* LRU frames first (never charging its overflow to others),
     /// then the global budget evicts idle-preferred. When nothing is
-    /// evictable and nothing else is in flight, the reservation proceeds
-    /// anyway so a sub-frame budget (or sub-frame quota) still makes
-    /// progress (the single-frame floor, globally and per group).
-    fn reserve(&self, frame_bytes: u64, group: u64) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            while !Self::quota_room(&st, group, frame_bytes)
-                && self.evict_one_in_group(&mut st, group)
-            {}
-            while !self.fits(&st, frame_bytes) && self.evict_one(&mut st) {}
-            let group_floor = st
-                .groups
-                .get(&group)
-                .map_or(true, |g| g.resident_bytes + g.inflight_bytes == 0);
-            let quota_ok = Self::quota_room(&st, group, frame_bytes) || group_floor;
-            let global_ok = self.fits(&st, frame_bytes) || st.inflight_frames == 0;
-            if quota_ok && global_ok {
-                st.inflight_frames += 1;
-                st.inflight_bytes += frame_bytes;
-                st.hw_frames = st.hw_frames.max(st.resident_frames + st.inflight_frames);
-                st.hw_bytes = st.hw_bytes.max(st.resident_bytes + st.inflight_bytes);
-                let g = st.group_mut(group);
-                g.inflight_bytes += frame_bytes;
-                g.hw_bytes = g.hw_bytes.max(g.resident_bytes + g.inflight_bytes);
-                return;
-            }
-            // Timed wait as a spurious-wakeup / missed-notify guard; the loop
-            // re-checks the budget either way.
-            let (g, _) = self.cv.wait_timeout(st, Duration::from_millis(50)).unwrap();
-            st = g;
-        }
+    /// evictable and nothing else is in flight, the read may start anyway
+    /// so a sub-frame budget (or sub-frame quota) still makes progress (the
+    /// single-frame floor, globally and per series).
+    fn make_room(&self, st: &mut BudgetState, id: u64, frame_bytes: u64) -> bool {
+        while !st.quota_room(id, frame_bytes) && st.evict_own(id) {}
+        while !self.fits(st, frame_bytes) && st.evict_global() {}
+        let s = &st.series[&id];
+        let own_floor = s.stats.resident_bytes + s.inflight_bytes == 0;
+        (st.quota_room(id, frame_bytes) || own_floor)
+            && (self.fits(st, frame_bytes) || st.inflight.is_empty())
     }
 
-    /// Turn a reservation of `bytes` into a resident cache entry. Accounting
-    /// and insert happen under the budget lock so the evictor never sees them
-    /// disagree. `group` must match the reservation's.
-    fn commit_and_insert(
-        &self,
-        sc: &SeriesCache,
-        idx: usize,
-        vol: Arc<ScalarVolume>,
-        prefetched: bool,
-        bytes: u64,
-        group: u64,
-    ) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock().unwrap();
-        {
-            let mut c = sc.cache.lock().unwrap();
-            c.insert(idx, vol, stamp, prefetched, bytes);
-            c.inflight.remove(&idx);
-        }
-        st.inflight_frames -= 1;
-        st.inflight_bytes -= bytes;
-        st.resident_frames += 1;
-        st.resident_bytes += bytes;
-        let g = st.group_mut(group);
-        g.inflight_bytes = g.inflight_bytes.saturating_sub(bytes);
-        g.resident_bytes += bytes;
-        drop(st);
+    /// Sleep until a read commits or releases. Timed as a spurious-wakeup /
+    /// missed-notify guard; callers re-check either way.
+    fn wait<'a>(&self, st: MutexGuard<'a, BudgetState>) -> MutexGuard<'a, BudgetState> {
+        self.cv
+            .wait_timeout(st, Duration::from_millis(50))
+            .expect("a thread panicked while paging through this budget")
+            .0
+    }
+
+    /// End a reserved read (see [`BudgetState::end_read`]) and wake waiters.
+    fn finish(&self, key: Key, loaded: Option<(Arc<ScalarVolume>, bool)>) {
+        self.lock().end_read(key, loaded);
         self.cv.notify_all();
-        sc.cv.notify_all();
-    }
-
-    /// Abandon a reservation of `bytes` after a failed read.
-    fn release(&self, sc: &SeriesCache, idx: usize, bytes: u64, group: u64) {
-        let mut st = self.state.lock().unwrap();
-        {
-            let mut c = sc.cache.lock().unwrap();
-            c.inflight.remove(&idx);
-        }
-        st.inflight_frames -= 1;
-        st.inflight_bytes -= bytes;
-        let g = st.group_mut(group);
-        g.inflight_bytes = g.inflight_bytes.saturating_sub(bytes);
-        drop(st);
-        self.cv.notify_all();
-        sc.cv.notify_all();
-    }
-
-    fn register(&self, sc: &Arc<SeriesCache>) {
-        self.state.lock().unwrap().members.push(Arc::downgrade(sc));
     }
 
     fn stats(&self) -> BudgetStats {
-        let st = self.state.lock().unwrap();
+        let st = self.lock();
         BudgetStats {
-            resident_frames: st.resident_frames,
+            resident_frames: st.frames.len(),
             resident_bytes: st.resident_bytes,
-            inflight_frames: st.inflight_frames,
+            inflight_frames: st.inflight.len(),
             inflight_bytes: st.inflight_bytes,
             high_water_frames: st.hw_frames,
             high_water_bytes: st.hw_bytes,
@@ -581,7 +420,6 @@ impl CacheBudgetHandle {
             limit,
             state: Mutex::new(BudgetState::default()),
             cv: Condvar::new(),
-            tick: AtomicU64::new(0),
         }))
     }
 
@@ -603,48 +441,6 @@ impl CacheBudgetHandle {
     /// reads and the high-water marks.
     pub fn stats(&self) -> BudgetStats {
         self.0.stats()
-    }
-
-    /// Set (or clear) a resident-byte quota for one residency group. A group
-    /// over its quota evicts its *own* least-recent frames before reserving
-    /// more; it never spills its overflow onto other groups. A quota smaller
-    /// than one frame still admits a single frame (the per-group floor).
-    pub fn set_group_quota(&self, group: u64, quota_bytes: Option<u64>) {
-        let mut st = self.0.state.lock().unwrap();
-        st.group_mut(group).quota = quota_bytes;
-    }
-
-    /// Mark one in-flight request against `group`. While a group's activity
-    /// refcount is nonzero its frames are deprioritized as eviction victims:
-    /// global eviction takes the LRU frame of an *idle* group when one
-    /// exists. Pair every call with [`Self::group_exit`].
-    pub fn group_enter(&self, group: u64) {
-        let mut st = self.0.state.lock().unwrap();
-        st.group_mut(group).active += 1;
-    }
-
-    /// Balance a [`Self::group_enter`]; the group becomes idle (and its
-    /// frames become preferred victims) when the refcount reaches zero.
-    pub fn group_exit(&self, group: u64) {
-        let mut st = self.0.state.lock().unwrap();
-        let g = st.group_mut(group);
-        g.active = g.active.saturating_sub(1);
-    }
-
-    /// Accounting for one residency group (zeros if never touched).
-    pub fn group_stats(&self, group: u64) -> GroupStats {
-        let st = self.0.state.lock().unwrap();
-        match st.groups.get(&group) {
-            Some(g) => GroupStats {
-                resident_bytes: g.resident_bytes,
-                inflight_bytes: g.inflight_bytes,
-                high_water_bytes: g.hw_bytes,
-                quota_bytes: g.quota,
-                quota_evictions: g.quota_evictions,
-                active: g.active,
-            },
-            None => GroupStats::default(),
-        }
     }
 }
 
@@ -686,19 +482,15 @@ struct Inner {
     /// Page frames in by `mmap` (zero-copy borrow of the OS page cache)
     /// instead of a copying read. Requires raw `"f32le"` frames.
     mmap: bool,
-    sc: Arc<SeriesCache>,
     budget: CacheBudgetHandle,
+    /// This series' id in the budget's paging table.
+    id: u64,
     /// Memoized global `(min, max)`: one streaming scan, reused thereafter.
     range: Mutex<Option<(f32, f32)>>,
     fault: Mutex<Option<ReadFaultHook>>,
 }
 
 impl Inner {
-    /// Budget charge of frame `i` (its on-disk byte size).
-    fn charge(&self, i: usize) -> u64 {
-        self.charges[i]
-    }
-
     /// The physical page-in of one frame: mapped (zero-copy) or copied, with
     /// compressed frames decoding on the copy path.
     fn read_one(&self, i: usize) -> Result<ScalarVolume, IoError> {
@@ -734,7 +526,7 @@ impl Inner {
                     if attempt >= READ_ATTEMPTS {
                         return Err(e);
                     }
-                    self.sc.cache.lock().unwrap().stats.read_retries += 1;
+                    self.budget.0.lock().series_mut(self.id).stats.read_retries += 1;
                     ifet_obs::counter_runtime("volume.ooc.read_retry", 1);
                 }
             }
@@ -744,45 +536,27 @@ impl Inner {
     /// Demand access: hit, wait out an in-flight read, or load ourselves.
     fn demand_frame(&self, i: usize) -> Result<Arc<ScalarVolume>, IoError> {
         assert!(i < self.paths.len(), "frame {i} out of range");
+        let key = (self.id, i);
         let b = &self.budget.0;
-        {
-            let mut c = self.sc.cache.lock().unwrap();
-            loop {
-                let stamp = b.tick.fetch_add(1, Ordering::Relaxed);
-                if let Some(v) = c.get_resident(i, stamp) {
-                    return Ok(v);
-                }
-                if !c.inflight.contains(&i) {
-                    break;
-                }
-                // Someone (usually the prefetch worker) is already reading
-                // this frame; wait for commit or release, then re-check.
-                let (g, _) = self
-                    .sc
-                    .cv
-                    .wait_timeout(c, Duration::from_millis(50))
-                    .unwrap();
-                c = g;
+        let mut st = b.lock();
+        loop {
+            if let Some(v) = st.touch(key) {
+                return Ok(v);
             }
-            c.note_miss();
-            c.inflight.insert(i);
+            // A frame already in flight (usually the prefetch worker's) is
+            // waited for, then re-checked.
+            if !st.inflight.contains_key(&key) && b.make_room(&mut st, self.id, self.charges[i]) {
+                break;
+            }
+            st = b.wait(st);
         }
-        let charge = self.charge(i);
-        // Group attribution is read once so reserve/commit/release agree even
-        // if the series is reassigned mid-read.
-        let group = self.sc.group.load(Ordering::Relaxed);
-        b.reserve(charge, group);
-        match self.read_frame(i) {
-            Ok(vol) => {
-                let vol = Arc::new(vol);
-                b.commit_and_insert(&self.sc, i, vol.clone(), false, charge, group);
-                Ok(vol)
-            }
-            Err(e) => {
-                b.release(&self.sc, i, charge, group);
-                Err(e)
-            }
-        }
+        st.series_mut(self.id).stats.misses += 1;
+        ifet_obs::counter_runtime("volume.ooc.miss", 1);
+        st.begin_read(key, self.charges[i]);
+        drop(st);
+        let read = self.read_frame(i).map(Arc::new);
+        b.finish(key, read.as_ref().ok().map(|v| (v.clone(), false)));
+        read
     }
 
     /// Read-ahead: best-effort warm of the cache. Never surfaces errors —
@@ -791,42 +565,60 @@ impl Inner {
         if i >= self.paths.len() {
             return;
         }
+        let key = (self.id, i);
         let b = &self.budget.0;
-        {
-            let mut c = self.sc.cache.lock().unwrap();
-            if c.map.contains_key(&i) || c.inflight.contains(&i) {
-                c.stats.prefetch_misses += 1;
+        let mut st = b.lock();
+        loop {
+            if st.frames.contains_key(&key) || st.inflight.contains_key(&key) {
+                st.series_mut(self.id).stats.prefetch_misses += 1;
                 ifet_obs::counter_runtime("volume.ooc.prefetch_miss", 1);
                 return;
             }
-            c.inflight.insert(i);
+            if b.make_room(&mut st, self.id, self.charges[i]) {
+                break;
+            }
+            st = b.wait(st);
         }
-        let charge = self.charge(i);
-        let group = self.sc.group.load(Ordering::Relaxed);
-        b.reserve(charge, group);
-        match self.read_frame(i) {
-            Ok(vol) => b.commit_and_insert(&self.sc, i, Arc::new(vol), true, charge, group),
-            Err(_) => b.release(&self.sc, i, charge, group),
-        }
+        st.begin_read(key, self.charges[i]);
+        drop(st);
+        let read = self.read_frame(i).ok().map(|v| (Arc::new(v), true));
+        b.finish(key, read);
     }
 }
 
 impl Drop for Inner {
-    /// Return this series' resident frames to the (possibly shared) budget:
-    /// once the series' `Weak` is dead, eviction can no longer reach them.
-    /// The prefetch worker has stopped, so nothing is in flight.
+    /// Take this series' frames and account out of the (possibly shared)
+    /// budget. The prefetch worker has stopped, so nothing is in flight.
     fn drop(&mut self) {
         let b = &self.budget.0;
-        let mut st = b.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut c = self.sc.cache.lock().unwrap_or_else(|e| e.into_inner());
-        // Saturating: a drop must not panic, even during an unwind.
-        st.resident_frames = st.resident_frames.saturating_sub(c.map.len());
-        st.resident_bytes = st.resident_bytes.saturating_sub(c.stats.resident_bytes);
-        let g = st.group_mut(self.sc.group.load(Ordering::Relaxed));
-        g.resident_bytes = g.resident_bytes.saturating_sub(c.stats.resident_bytes);
-        *c = Cache::new();
-        drop((c, st));
+        // A poisoned table is left as it is: a drop must not panic.
+        let Ok(mut st) = b.state.lock() else { return };
+        let keys: Vec<Key> = st
+            .frames
+            .keys()
+            .filter(|k| k.0 == self.id)
+            .copied()
+            .collect();
+        for key in keys {
+            st.remove(key);
+        }
+        st.series.remove(&self.id);
+        drop(st);
         b.cv.notify_all();
+    }
+}
+
+/// Marks a series active until dropped; see [`OutOfCoreSeries::activity`].
+pub struct Activity<'a> {
+    series: &'a OutOfCoreSeries,
+}
+
+impl Drop for Activity<'_> {
+    fn drop(&mut self) {
+        let inner = &self.series.inner;
+        if let Ok(mut st) = inner.budget.0.state.lock() {
+            st.series_mut(inner.id).active -= 1;
+        }
     }
 }
 
@@ -850,51 +642,6 @@ pub struct OutOfCoreSeries {
 }
 
 impl OutOfCoreSeries {
-    /// Write an in-core series to `dir` and return the disk-backed handle
-    /// with a private `Frames(capacity)` budget.
-    pub fn create(
-        dir: &Path,
-        prefix: &str,
-        series: &TimeSeries,
-        capacity: usize,
-    ) -> Result<Self, IoError> {
-        Self::create_with(dir, prefix, series, &CacheBudgetHandle::frames(capacity), 0)
-    }
-
-    /// [`Self::create`] with an explicit (possibly shared) budget and a
-    /// prefetch depth (`0` disables read-ahead).
-    pub fn create_with(
-        dir: &Path,
-        prefix: &str,
-        series: &TimeSeries,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-    ) -> Result<Self, IoError> {
-        Self::create_opts(dir, prefix, series, budget, prefetch, false)
-    }
-
-    /// [`Self::create_with`] with a choice of on-disk format: `compress`
-    /// writes bricked compressed `.rawz` containers (see [`crate::codec`]),
-    /// which the cache then charges at their smaller compressed size.
-    pub fn create_opts(
-        dir: &Path,
-        prefix: &str,
-        series: &TimeSeries,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-        compress: bool,
-    ) -> Result<Self, IoError> {
-        let paths = write_series_with(dir, prefix, series, compress)?;
-        Self::from_parts(
-            series.dims(),
-            series.steps().to_vec(),
-            paths,
-            budget,
-            prefetch,
-            false,
-        )
-    }
-
     /// Open from existing frame files with a private `Frames(capacity)`
     /// budget (reads each sidecar for the step label, but no voxel data).
     pub fn open(paths: Vec<PathBuf>, capacity: usize) -> Result<Self, IoError> {
@@ -959,35 +706,20 @@ impl OutOfCoreSeries {
             labelled.push((meta.step.unwrap_or(k as u32), p.clone()));
         }
         labelled.sort_by_key(|(t, _)| *t);
-        Self::from_parts(
-            dims.ok_or(IoError::NoFrames)?,
-            labelled.iter().map(|(t, _)| *t).collect(),
-            labelled.into_iter().map(|(_, p)| p).collect(),
-            budget,
-            prefetch,
-            mmap,
-        )
-    }
-
-    fn from_parts(
-        dims: Dims3,
-        steps: Vec<u32>,
-        paths: Vec<PathBuf>,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-        mmap: bool,
-    ) -> Result<Self, IoError> {
+        let dims = dims.ok_or(IoError::NoFrames)?;
+        let (steps, paths): (Vec<u32>, Vec<PathBuf>) = labelled.into_iter().unzip();
         let mut charges = Vec::with_capacity(paths.len());
         for p in &paths {
             charges.push(std::fs::metadata(p)?.len());
         }
         let max_charge = charges.iter().copied().max().unwrap_or(1).max(1);
-        let sc = Arc::new(SeriesCache {
-            cache: Mutex::new(Cache::new()),
-            cv: Condvar::new(),
-            group: AtomicU64::new(0),
-        });
-        budget.0.register(&sc);
+        let id = {
+            let mut st = budget.0.lock();
+            st.next_series += 1;
+            let id = st.next_series;
+            st.series.insert(id, SeriesState::default());
+            id
+        };
         let mut s = Self {
             inner: Arc::new(Inner {
                 dims,
@@ -996,8 +728,8 @@ impl OutOfCoreSeries {
                 charges,
                 max_charge,
                 mmap,
-                sc,
                 budget: budget.clone(),
+                id,
                 range: Mutex::new(None),
                 fault: Mutex::new(None),
             }),
@@ -1064,33 +796,36 @@ impl OutOfCoreSeries {
         &self.inner.budget
     }
 
-    /// Assign this series to a residency group (`0` is the default group).
-    /// All of the series' resident bytes are attributed to the group, which
-    /// can carry a byte quota ([`CacheBudgetHandle::set_group_quota`]) and an
-    /// activity refcount ([`CacheBudgetHandle::group_enter`]) that steers
-    /// eviction. Call before the first frame read; a later reassignment
-    /// migrates the bytes already resident but not reads currently in
-    /// flight.
-    pub fn set_residency_group(&self, group: u64) {
-        let b = &self.inner.budget.0;
-        let mut st = b.state.lock().unwrap();
-        let old = self.inner.sc.group.swap(group, Ordering::Relaxed);
-        if old == group {
-            return;
-        }
-        let moved = self.inner.sc.cache.lock().unwrap().stats.resident_bytes;
-        if moved > 0 {
-            let og = st.group_mut(old);
-            og.resident_bytes = og.resident_bytes.saturating_sub(moved);
-            let ng = st.group_mut(group);
-            ng.resident_bytes += moved;
-            ng.hw_bytes = ng.hw_bytes.max(ng.resident_bytes + ng.inflight_bytes);
-        }
+    /// Set (or clear) a resident-byte quota for this series. A series over
+    /// its quota evicts its *own* least-recent frames before reserving
+    /// more; it never spills its overflow onto other series. A quota
+    /// smaller than one frame still admits a single frame (the per-series
+    /// floor).
+    pub fn set_quota(&self, quota_bytes: Option<u64>) {
+        self.inner.budget.0.lock().series_mut(self.inner.id).quota = quota_bytes;
     }
 
-    /// The residency group this series is assigned to.
-    pub fn residency_group(&self) -> u64 {
-        self.inner.sc.group.load(Ordering::Relaxed)
+    /// Mark one request in flight against this series until the guard
+    /// drops. While any guard is alive the series' frames are deprioritized
+    /// as eviction victims: global eviction takes the LRU frame of an
+    /// *idle* series when one exists.
+    pub fn activity(&self) -> Activity<'_> {
+        self.inner.budget.0.lock().series_mut(self.inner.id).active += 1;
+        Activity { series: self }
+    }
+
+    /// This series' bytes, quota and activity under its budget.
+    pub fn residency(&self) -> ResidencyStats {
+        let st = self.inner.budget.0.lock();
+        let s = &st.series[&self.inner.id];
+        ResidencyStats {
+            resident_bytes: s.stats.resident_bytes,
+            inflight_bytes: s.inflight_bytes,
+            high_water_bytes: s.hw_bytes,
+            quota_bytes: s.quota,
+            quota_evictions: s.quota_evictions,
+            active: s.active,
+        }
     }
 
     /// Read-ahead depth in frames (`0` = prefetch disabled).
@@ -1152,28 +887,20 @@ impl OutOfCoreSeries {
         *self.inner.fault.lock().unwrap() = hook;
     }
 
-    /// `(hits, misses)` so far (demand accesses only).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.inner.sc.cache.lock().unwrap();
-        (c.stats.hits, c.stats.misses)
-    }
-
     /// Full paging statistics. Per-series traffic counters plus the shared
     /// budget's high-water marks (which include in-flight reads).
     pub fn stats(&self) -> CacheStats {
-        let b = self.inner.budget.stats();
-        let c = self.inner.sc.cache.lock().unwrap();
+        let st = self.inner.budget.0.lock();
         CacheStats {
-            resident: c.map.len(),
-            resident_high_water: b.high_water_frames,
-            resident_high_water_bytes: b.high_water_bytes,
-            ..c.stats
+            resident_high_water: st.hw_frames,
+            resident_high_water_bytes: st.hw_bytes,
+            ..st.series[&self.inner.id].stats
         }
     }
 
     /// Frames currently resident (this series).
     pub fn resident(&self) -> usize {
-        self.inner.sc.cache.lock().unwrap().map.len()
+        self.stats().resident
     }
 
     /// Global `(min, max)` across all frames, computed by one streaming scan
@@ -1220,7 +947,9 @@ impl Drop for OutOfCoreSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use crate::io::write_series_with;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn sample_series() -> TimeSeries {
         let d = Dims3::cube(8);
@@ -1239,11 +968,24 @@ mod tests {
 
     const FB: u64 = 8 * 8 * 8 * 4; // bytes per sample_series frame
 
+    /// Write `s` under `dir` (compressed when asked) and page it through
+    /// `budget`.
+    fn paged(
+        dir: &Path,
+        s: &TimeSeries,
+        budget: &CacheBudgetHandle,
+        prefetch: usize,
+        compress: bool,
+    ) -> OutOfCoreSeries {
+        let paths = write_series_with(dir, "f", s, compress).unwrap();
+        OutOfCoreSeries::open_with(paths, budget, prefetch).unwrap()
+    }
+
     #[test]
     fn create_and_read_frames() {
         let dir = tmpdir("basic");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         assert_eq!(ooc.len(), 6);
         assert_eq!(ooc.dims(), Dims3::cube(8));
         assert_eq!(ooc.steps(), &[0, 10, 20, 30, 40, 50]);
@@ -1257,7 +999,7 @@ mod tests {
     fn cache_respects_capacity() {
         let dir = tmpdir("cap");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         for i in 0..6 {
             let _ = ooc.frame(i).unwrap();
         }
@@ -1269,13 +1011,13 @@ mod tests {
     fn repeated_access_hits_cache() {
         let dir = tmpdir("hits");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 3).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(3), 0, false);
         let _ = ooc.frame(0).unwrap();
         let _ = ooc.frame(0).unwrap();
         let _ = ooc.frame(0).unwrap();
-        let (hits, misses) = ooc.cache_stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 2);
+        let st = ooc.stats();
+        assert_eq!(st.misses, 1);
+        assert_eq!(st.hits, 2);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1283,18 +1025,18 @@ mod tests {
     fn lru_evicts_oldest() {
         let dir = tmpdir("lru");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         let _ = ooc.frame(0).unwrap();
         let _ = ooc.frame(1).unwrap();
         let _ = ooc.frame(0).unwrap(); // refresh 0
         let _ = ooc.frame(2).unwrap(); // evicts 1
-        let (h0, _) = ooc.cache_stats();
+        let h0 = ooc.stats().hits;
         let _ = ooc.frame(0).unwrap(); // still resident -> hit
-        let (h1, _) = ooc.cache_stats();
+        let h1 = ooc.stats().hits;
         assert_eq!(h1, h0 + 1);
-        let (_, m0) = ooc.cache_stats();
+        let m0 = ooc.stats().misses;
         let _ = ooc.frame(1).unwrap(); // was evicted -> miss
-        let (_, m1) = ooc.cache_stats();
+        let m1 = ooc.stats().misses;
         assert_eq!(m1, m0 + 1);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1303,7 +1045,7 @@ mod tests {
     fn open_from_paths_matches_created() {
         let dir = tmpdir("open");
         let s = sample_series();
-        let created = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let created = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         let paths: Vec<PathBuf> = created.paths().to_vec();
         let opened = OutOfCoreSeries::open(paths, 2).unwrap();
         assert_eq!(opened.steps(), created.steps());
@@ -1339,7 +1081,7 @@ mod tests {
     fn frame_at_step_lookup() {
         let dir = tmpdir("step");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         assert_eq!(ooc.frame_at_step(30).unwrap().unwrap().as_slice()[0], 3.0);
         assert!(ooc.frame_at_step(31).unwrap().is_none());
         std::fs::remove_dir_all(dir).ok();
@@ -1349,7 +1091,7 @@ mod tests {
     fn missing_frame_file_is_an_error_not_a_panic() {
         let dir = tmpdir("gone");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(1), 0, false);
         // Delete one raw file behind the cache's back.
         std::fs::remove_file(&ooc.paths()[3]).unwrap();
         assert!(ooc.frame(3).is_err(), "deleted frame must surface as Err");
@@ -1362,7 +1104,7 @@ mod tests {
     fn corrupted_frame_is_an_error() {
         let dir = tmpdir("corrupt");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(1), 0, false);
         std::fs::write(&ooc.paths()[2], [1u8, 2, 3]).unwrap(); // truncated
         assert!(ooc.frame(2).is_err());
         std::fs::remove_dir_all(dir).ok();
@@ -1372,7 +1114,7 @@ mod tests {
     fn arc_keeps_evicted_frame_alive() {
         let dir = tmpdir("arc");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(1), 0, false);
         let held = ooc.frame(0).unwrap();
         let _ = ooc.frame(1).unwrap(); // evicts frame 0 from the cache
                                        // The caller's Arc still works even though the cache dropped it.
@@ -1384,7 +1126,7 @@ mod tests {
     fn stats_track_evictions_and_high_water() {
         let dir = tmpdir("stats");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         assert_eq!(ooc.capacity(), 2);
         for i in 0..6 {
             let _ = ooc.frame(i).unwrap();
@@ -1407,7 +1149,7 @@ mod tests {
         let s = sample_series();
         // Room for exactly three frames.
         let budget = CacheBudgetHandle::bytes(3 * FB);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, false);
         assert_eq!(ooc.capacity(), 3);
         for i in 0..6 {
             let _ = ooc.frame(i).unwrap();
@@ -1418,13 +1160,13 @@ mod tests {
         assert!(st.resident_high_water_bytes <= 3 * FB);
         assert_eq!(st.evictions, 3);
         // True LRU under byte charging: the last three frames are resident.
-        let (h0, _) = ooc.cache_stats();
+        let h0 = ooc.stats().hits;
         let _ = ooc.frame(3).unwrap();
         let _ = ooc.frame(4).unwrap();
         let _ = ooc.frame(5).unwrap();
-        let (h1, m) = ooc.cache_stats();
-        assert_eq!(h1, h0 + 3, "frames 3..6 must all be hits");
-        assert_eq!(m, 6);
+        let st = ooc.stats();
+        assert_eq!(st.hits, h0 + 3, "frames 3..6 must all be hits");
+        assert_eq!(st.misses, 6);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1433,7 +1175,7 @@ mod tests {
         let dir = tmpdir("tiny");
         let s = sample_series();
         let budget = CacheBudgetHandle::bytes(FB / 2);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, false);
         assert_eq!(ooc.capacity(), 1);
         for i in 0..6 {
             assert_eq!(ooc.frame(i).unwrap().as_slice()[0], i as f32);
@@ -1449,8 +1191,8 @@ mod tests {
         let dir = tmpdir("shared");
         let s = sample_series();
         let budget = CacheBudgetHandle::new(CacheBudget::Frames(2));
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         let _ = a.frame(0).unwrap();
         let _ = a.frame(1).unwrap();
         assert_eq!(a.resident(), 2);
@@ -1469,8 +1211,8 @@ mod tests {
         let dir = tmpdir("dropped");
         let s = sample_series();
         let budget = CacheBudgetHandle::bytes(2 * FB);
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         let _ = a.frame(0).unwrap();
         let _ = a.frame(1).unwrap();
         assert_eq!(budget.stats().resident_frames, 2);
@@ -1488,28 +1230,47 @@ mod tests {
     }
 
     #[test]
+    fn dropped_series_leave_no_accounts_in_the_budget() {
+        let dir = tmpdir("churn");
+        let paths = write_series_with(&dir, "f", &sample_series(), false).unwrap();
+        let budget = CacheBudgetHandle::bytes(3 * FB);
+        for k in 0..1000 {
+            let s = OutOfCoreSeries::open_with(paths.clone(), &budget, 0).unwrap();
+            s.set_quota(Some(2 * FB));
+            let _active = s.activity();
+            let _ = s.frame(k % 6).unwrap();
+        }
+        let st = budget.0.lock();
+        assert!(st.series.is_empty(), "{} series accounts", st.series.len());
+        assert!(st.frames.is_empty() && st.inflight.is_empty());
+        drop(st);
+        let bs = budget.stats();
+        assert_eq!((bs.resident_frames, bs.resident_bytes), (0, 0));
+        assert_eq!((bs.inflight_frames, bs.inflight_bytes), (0, 0));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn group_quota_evicts_own_frames_first() {
         let dir = tmpdir("quota");
         let s = sample_series();
         // Roomy global budget: quota pressure, not global pressure, must
         // drive every eviction in this test.
         let budget = CacheBudgetHandle::frames(8);
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
-        a.set_residency_group(1);
-        b.set_residency_group(2);
-        budget.set_group_quota(1, Some(2 * FB));
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
+        a.set_quota(Some(2 * FB));
         // b establishes residency first; a's quota churn must not touch it.
         let _ = b.frame(0).unwrap();
         let _ = b.frame(1).unwrap();
         for i in 0..6 {
             let _ = a.frame(i).unwrap();
         }
-        // The per-group bound and the global bound hold simultaneously.
-        let ga = budget.group_stats(1);
+        // The per-series bound and the global bound hold simultaneously.
+        let ga = a.residency();
         assert!(
             ga.high_water_bytes <= 2 * FB,
-            "group 1 high-water {} exceeds its quota",
+            "series a high-water {} exceeds its quota",
             ga.high_water_bytes
         );
         assert_eq!(ga.resident_bytes, 2 * FB);
@@ -1522,7 +1283,7 @@ mod tests {
         assert_eq!(a.stats().evictions, 4);
         assert_eq!(a.resident(), 2);
         assert_eq!(b.resident(), 2);
-        assert_eq!(budget.group_stats(2).quota_evictions, 0);
+        assert_eq!(b.residency().quota_evictions, 0);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1531,15 +1292,14 @@ mod tests {
         let dir = tmpdir("quotafloor");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(8);
-        let a = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
-        a.set_residency_group(1);
-        budget.set_group_quota(1, Some(FB / 2));
-        // The per-group single-frame floor: reads proceed, one frame at a
+        let a = paged(&dir, &s, &budget, 0, false);
+        a.set_quota(Some(FB / 2));
+        // The per-series single-frame floor: reads proceed, one frame at a
         // time, despite a quota smaller than any frame.
         for i in 0..6 {
             assert_eq!(a.frame(i).unwrap().as_slice()[0], i as f32);
         }
-        assert!(budget.group_stats(1).high_water_bytes <= FB);
+        assert!(a.residency().high_water_bytes <= FB);
         assert_eq!(a.resident(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1549,24 +1309,24 @@ mod tests {
         let dir = tmpdir("idleevict");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(2);
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
-        a.set_residency_group(1);
-        b.set_residency_group(2);
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         let _ = a.frame(0).unwrap(); // globally least recent
         let _ = b.frame(0).unwrap();
-        // Group 1 is active, group 2 idle: the next eviction must take b's
-        // frame even though a holds the global LRU.
-        budget.group_enter(1);
+        // a is active, b idle: the next eviction must take b's frame even
+        // though a holds the global LRU.
+        let active = a.activity();
+        assert_eq!(a.residency().active, 1);
         let _ = a.frame(1).unwrap();
-        assert_eq!(a.resident(), 2, "active group kept its LRU frame");
-        assert_eq!(b.resident(), 0, "idle group's frame was the victim");
+        assert_eq!(a.resident(), 2, "active series kept its LRU frame");
+        assert_eq!(b.resident(), 0, "idle series' frame was the victim");
         let bs = budget.stats();
         assert_eq!(bs.idle_evictions, 1, "the eviction was redirected");
         assert!(bs.high_water_frames <= 2, "the global bound still holds");
-        // Once group 1 goes idle again, plain global LRU resumes: b's next
-        // load takes a's oldest frame.
-        budget.group_exit(1);
+        // Once a goes idle again, plain global LRU resumes: b's next load
+        // takes a's oldest frame.
+        drop(active);
+        assert_eq!(a.residency().active, 0);
         let _ = b.frame(0).unwrap();
         assert_eq!(a.resident(), 1);
         assert_eq!(b.resident(), 1);
@@ -1583,7 +1343,7 @@ mod tests {
         let dir = tmpdir("prefetch");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(4);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 2).unwrap();
+        let ooc = paged(&dir, &s, &budget, 2, false);
         assert_eq!(ooc.prefetch_depth(), 2);
         ooc.request_prefetch(&[0, 1, 2, 3]); // clamped to depth 2
                                              // Wait for the worker to commit both frames.
@@ -1619,7 +1379,7 @@ mod tests {
         let dir = tmpdir("prefhw");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(2);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 4).unwrap();
+        let ooc = paged(&dir, &s, &budget, 4, false);
         // Walk the series with aggressive read-ahead; the budget (which
         // charges in-flight reads too) must never be exceeded.
         for i in 0..6 {
@@ -1641,7 +1401,7 @@ mod tests {
     fn fault_hook_retries_transient_errors() {
         let dir = tmpdir("fault");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         // Fail the first two attempts of every read of frame 3.
         ooc.set_read_fault_hook(Some(Arc::new(|frame, attempt| {
             (frame == 3 && attempt <= 2).then_some(ReadFault::Error)
@@ -1664,7 +1424,7 @@ mod tests {
         let dir = tmpdir("prefail");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(3);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 2).unwrap();
+        let ooc = paged(&dir, &s, &budget, 2, false);
         // Fail the first three read attempts of frame 1 (exhausting the
         // prefetch worker's retries), then succeed.
         let calls = Arc::new(AtomicU32::new(0));
@@ -1695,11 +1455,11 @@ mod tests {
     fn global_range_cached_scans_once() {
         let dir = tmpdir("range");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(1), 0, false);
         assert_eq!(ooc.global_range_cached().unwrap(), s.global_range());
-        let (_, misses_before) = ooc.cache_stats();
+        let misses_before = ooc.stats().misses;
         assert_eq!(ooc.global_range_cached().unwrap(), s.global_range());
-        let (_, misses_after) = ooc.cache_stats();
+        let misses_after = ooc.stats().misses;
         assert_eq!(misses_before, misses_after, "second call must be memoized");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1708,7 +1468,7 @@ mod tests {
     fn load_all_roundtrips() {
         let dir = tmpdir("all");
         let s = sample_series();
-        let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
+        let ooc = paged(&dir, &s, &CacheBudgetHandle::frames(1), 0, false);
         assert_eq!(ooc.load_all().unwrap(), s);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1718,7 +1478,7 @@ mod tests {
         let dir = tmpdir("zcharge");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(1);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         assert_eq!(ooc.load_all().unwrap(), s, "compressed paging is lossless");
         let st = ooc.stats();
         assert!(
@@ -1743,7 +1503,7 @@ mod tests {
         let s = sample_series();
         // One raw frame's worth of budget holds several compressed frames.
         let budget = CacheBudgetHandle::bytes(FB);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         assert!(
             ooc.capacity() > 1,
             "capacity {} should exceed one frame under compression",
@@ -1762,7 +1522,7 @@ mod tests {
     fn mmap_series_matches_copied_reads() {
         let dir = tmpdir("mmap");
         let s = sample_series();
-        let created = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
+        let created = paged(&dir, &s, &CacheBudgetHandle::frames(2), 0, false);
         let budget = CacheBudgetHandle::frames(2);
         let ooc = OutOfCoreSeries::open_mmap(created.paths().to_vec(), &budget, 0).unwrap();
         assert!(ooc.is_mmap());
@@ -1779,7 +1539,7 @@ mod tests {
         let dir = tmpdir("mmapz");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(2);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         assert!(matches!(
             OutOfCoreSeries::open_mmap(ooc.paths().to_vec(), &budget, 0),
             Err(IoError::UnsupportedDtype(_))
@@ -1792,7 +1552,7 @@ mod tests {
         let dir = tmpdir("zcorrupt");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(1);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         let p = ooc.paths()[2].clone();
         let mut bytes = std::fs::read(&p).unwrap();
         let last = bytes.len() - 1;

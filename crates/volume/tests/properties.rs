@@ -432,3 +432,63 @@ proptest! {
         );
     }
 }
+
+/// Four threads page three series through one byte budget with read-ahead
+/// on, a quota on one series and activity guards coming and going. Once the
+/// threads and the prefetch workers have stopped, the shared accounts must
+/// balance exactly: the budget's resident bytes are the series' sum, nothing
+/// is left in flight, and the high-water never passed the budget (or the
+/// one-frame floor).
+#[test]
+fn lru_concurrent_accounting_balances_at_quiescence() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let (series, paths) = ooc_fixture();
+    let frame_bytes = series.dims().len() as u64 * 4;
+    let budget_bytes = 3 * frame_bytes;
+    let budget = ifet_volume::CacheBudgetHandle::bytes(budget_bytes);
+    let mut oocs: Vec<_> = (0..3)
+        .map(|_| ifet_volume::OutOfCoreSeries::open_with(paths.clone(), &budget, 2).unwrap())
+        .collect();
+    oocs[0].set_quota(Some(frame_bytes));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (oocs, start) = (&oocs, &start);
+            scope.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(0xACC0 + t);
+                start.wait();
+                for _ in 0..300 {
+                    let ooc = &oocs[rng.gen_range(0..3usize)];
+                    let i = rng.gen_range(0..OOC_FRAMES);
+                    let _active = rng.gen_bool(0.5).then(|| ooc.activity());
+                    ooc.request_prefetch(&[(i + 1) % OOC_FRAMES, (i + 2) % OOC_FRAMES]);
+                    assert_eq!(&*ooc.frame(i).unwrap(), series.frame(i));
+                }
+            });
+        }
+    });
+    // Joining the prefetch workers makes the budget quiescent.
+    for ooc in &mut oocs {
+        ooc.set_prefetch(0);
+    }
+    let bs = budget.stats();
+    let stats: Vec<_> = oocs.iter().map(|o| o.stats()).collect();
+    assert_eq!(
+        bs.resident_bytes,
+        stats.iter().map(|s| s.resident_bytes).sum::<u64>()
+    );
+    assert_eq!(
+        bs.resident_frames,
+        stats.iter().map(|s| s.resident).sum::<usize>()
+    );
+    assert_eq!((bs.inflight_frames, bs.inflight_bytes), (0, 0), "{bs:?}");
+    assert!(
+        bs.high_water_bytes <= budget_bytes.max(frame_bytes),
+        "{bs:?}"
+    );
+    for ooc in &oocs {
+        let r = ooc.residency();
+        assert_eq!((r.inflight_bytes, r.active), (0, 0), "{r:?}");
+    }
+    assert!(oocs[0].residency().high_water_bytes <= frame_bytes);
+}

@@ -165,7 +165,8 @@ fn out_of_core_series_supports_the_iatf_workflow() {
     let dir = std::env::temp_dir().join(format!("ifet_ext_ooc_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // Page the series to disk with room for only 2 resident frames.
-    let ooc = OutOfCoreSeries::create(&dir, "b", &data.series, 2).unwrap();
+    let paths = ifet_volume::io::write_series(&dir, "b", &data.series).unwrap();
+    let ooc = OutOfCoreSeries::open(paths, 2).unwrap();
 
     // The IATF needs only the key frames in core (paper Section 4.2.3).
     let key_frames = [(195u32, 0.0f32), (255, 1.0)];
