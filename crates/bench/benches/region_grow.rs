@@ -1,6 +1,6 @@
-//! Region-growing benchmarks for the frontier-parallel grower: serial BFS
-//! vs. the level-synchronous parallel algorithm at several thread counts,
-//! plus the cost of criterion table precomputation on its own. The series is
+//! Region-growing benchmarks for the frontier-parallel grower at several
+//! thread counts (one thread is the serial baseline; its equality with a
+//! serial BFS is a property test of `region_grow`), plus the cost of criterion table precomputation on its own. The series is
 //! 64³ × 8 frames so the per-round frontiers are large enough for the
 //! parallel path to matter.
 
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ifet_core::pipeline;
 use ifet_tf::TransferFunction1D;
 use ifet_track::criterion::{AdaptiveTfCriterion, FixedBandCriterion};
-use ifet_track::{grow_4d, grow_4d_serial, GrowthCriterion, Seed4};
+use ifet_track::{grow_4d, GrowthCriterion, Seed4};
 use ifet_volume::{Dims3, ScalarVolume, TimeSeries};
 use std::hint::black_box;
 
@@ -32,22 +32,13 @@ fn drifting_sphere_series() -> TimeSeries {
     TimeSeries::from_frames(frames)
 }
 
-fn bench_grow_parallel_vs_serial(c: &mut Criterion) {
+fn bench_grow_threads(c: &mut Criterion) {
     let series = drifting_sphere_series();
     let criterion = FixedBandCriterion::new(0.25, 2.0, series.len()).unwrap();
     let seeds: Vec<Seed4> = vec![(0, 20, 32, 32)];
 
-    // Sanity: the two paths agree before we time them.
-    assert_eq!(
-        grow_4d(&series, &criterion, &seeds).unwrap(),
-        grow_4d_serial(&series, &criterion, &seeds).unwrap()
-    );
-
     let mut g = c.benchmark_group("grow_4d_64c_8f");
     g.sample_size(10);
-    g.bench_function("serial", |b| {
-        b.iter(|| black_box(grow_4d_serial(&series, &criterion, &seeds).unwrap()))
-    });
     for &threads in &[1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             let pool = pipeline::pool_with_threads(t);
@@ -96,9 +87,5 @@ fn bench_criterion_precompute(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_grow_parallel_vs_serial,
-    bench_criterion_precompute
-);
+criterion_group!(benches, bench_grow_threads, bench_criterion_precompute);
 criterion_main!(benches);

@@ -1,9 +1,11 @@
 //! Ray-casting throughput with the packet-size axis.
 //!
-//! The ray caster gathers a packet of sample positions per step, runs the
-//! trilinear + transfer-function phases over the whole packet, then
-//! composites serially — output is invariant to the packet width, so this
-//! axis isolates the throughput effect of batching the per-sample work.
+//! Every render mode runs on one row loop and one sample loop over a shared
+//! sampling core: a packet of samples is located once per axis (clamp,
+//! bracket, fraction) and fetched, then composited serially, with the
+//! gradient taps of a shaded sample reusing its brackets. Output is
+//! invariant to the packet width, so this axis isolates the throughput
+//! effect of batching the per-sample work.
 //!
 //! `IFET_QUICK=1` shrinks the volume and framebuffer for a CI smoke-run.
 

@@ -112,34 +112,36 @@ impl Camera {
     /// `(origin, direction)`. Orthographic rays share the view direction;
     /// perspective rays all start at the eye and diverge.
     pub fn ray(&self, px: usize, py: usize, w: usize, h: usize) -> ([f32; 3], [f32; 3]) {
-        let dir = self.view_dir();
+        self.rays(w, h)(px, py)
+    }
+
+    /// The ray generator of a `w`×`h` framebuffer, mapping `(px, py)` to
+    /// what [`Camera::ray`] returns, with the eye, view basis and window
+    /// scale computed once for the whole image.
+    pub fn rays(&self, w: usize, h: usize) -> impl Fn(usize, usize) -> ([f32; 3], [f32; 3]) + Sync {
+        let (pos, dir) = (self.position(), self.view_dir());
         let (right, up) = self.basis();
         let aspect = w as f32 / h as f32;
-        // NDC in [-1, 1], y flipped so row 0 is the top.
-        let nx = 2.0 * (px as f32 + 0.5) / w as f32 - 1.0;
-        let ny = 1.0 - 2.0 * (py as f32 + 0.5) / h as f32;
-        let pos = self.position();
-        match self.projection {
-            Projection::Orthographic => {
-                let sx = nx * self.half_extent * aspect;
-                let sy = ny * self.half_extent;
-                let origin = [
-                    pos[0] + right[0] * sx + up[0] * sy,
-                    pos[1] + right[1] * sx + up[1] * sy,
-                    pos[2] + right[2] * sx + up[2] * sy,
-                ];
-                (origin, dir)
-            }
-            Projection::Perspective { fov_half } => {
-                let t = fov_half.tan();
-                let sx = nx * t * aspect;
-                let sy = ny * t;
-                let d = normalize([
-                    dir[0] + right[0] * sx + up[0] * sy,
-                    dir[1] + right[1] * sx + up[1] * sy,
-                    dir[2] + right[2] * sx + up[2] * sy,
-                ]);
-                (pos, d)
+        // Window half-height: in voxels, or as `tan` of the half-angle.
+        let (scale, perspective) = match self.projection {
+            Projection::Orthographic => (self.half_extent, false),
+            Projection::Perspective { fov_half } => (fov_half.tan(), true),
+        };
+        move |px, py| {
+            // NDC in [-1, 1], y flipped so row 0 is the top.
+            let nx = 2.0 * (px as f32 + 0.5) / w as f32 - 1.0;
+            let ny = 1.0 - 2.0 * (py as f32 + 0.5) / h as f32;
+            let (sx, sy) = (nx * scale * aspect, ny * scale);
+            let base = if perspective { dir } else { pos };
+            let p = [
+                base[0] + right[0] * sx + up[0] * sy,
+                base[1] + right[1] * sx + up[1] * sy,
+                base[2] + right[2] * sx + up[2] * sy,
+            ];
+            if perspective {
+                (pos, normalize(p))
+            } else {
+                (p, dir)
             }
         }
     }
@@ -244,5 +246,65 @@ mod tests {
         c.elevation = std::f32::consts::FRAC_PI_2; // looking along -z
         let (right, up) = c.basis();
         assert!(len3(right) > 0.99 && len3(up) > 0.99);
+    }
+
+    /// `Camera::ray` as it stood before the per-image generator: eye, view
+    /// direction and basis recomputed for every pixel. Kept verbatim as the
+    /// byte-identity oracle.
+    fn oracle_ray(c: &Camera, px: usize, py: usize, w: usize, h: usize) -> ([f32; 3], [f32; 3]) {
+        let dir = c.view_dir();
+        let (right, up) = c.basis();
+        let aspect = w as f32 / h as f32;
+        let nx = 2.0 * (px as f32 + 0.5) / w as f32 - 1.0;
+        let ny = 1.0 - 2.0 * (py as f32 + 0.5) / h as f32;
+        let pos = c.position();
+        match c.projection {
+            Projection::Orthographic => {
+                let sx = nx * c.half_extent * aspect;
+                let sy = ny * c.half_extent;
+                let origin = [
+                    pos[0] + right[0] * sx + up[0] * sy,
+                    pos[1] + right[1] * sx + up[1] * sy,
+                    pos[2] + right[2] * sx + up[2] * sy,
+                ];
+                (origin, dir)
+            }
+            Projection::Perspective { fov_half } => {
+                let t = fov_half.tan();
+                let sx = nx * t * aspect;
+                let sy = ny * t;
+                let d = normalize([
+                    dir[0] + right[0] * sx + up[0] * sy,
+                    dir[1] + right[1] * sx + up[1] * sy,
+                    dir[2] + right[2] * sx + up[2] * sy,
+                ]);
+                (pos, d)
+            }
+        }
+    }
+
+    #[test]
+    fn per_image_rays_are_bit_identical_to_the_oracle() {
+        let d = Dims3::new(17, 9, 23);
+        let mut down = Camera::framing(d, 0.0, 0.0);
+        down.elevation = std::f32::consts::FRAC_PI_2;
+        let cameras = [
+            Camera::framing(d, 0.6, 0.4),
+            Camera::framing_perspective(d, 1.1, -0.3),
+            down,
+        ];
+        let bits = |(o, v): ([f32; 3], [f32; 3])| (o.map(f32::to_bits), v.map(f32::to_bits));
+        for c in cameras {
+            for (w, h) in [(37, 11), (8, 29), (1, 1)] {
+                let rays = c.rays(w, h);
+                for py in 0..h {
+                    for px in 0..w {
+                        let want = bits(oracle_ray(&c, px, py, w, h));
+                        assert_eq!(bits(rays(px, py)), want, "{c:?} {w}x{h} ({px},{py})");
+                        assert_eq!(bits(c.ray(px, py, w, h)), want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::camera::Camera;
 use crate::image::Image;
 use ifet_tf::{ColorMap, TransferFunction1D};
-use ifet_volume::sample::{gradient_trilinear, normalize3, trilinear};
+use ifet_volume::sample::{normalize3, Located, Sampler};
 use ifet_volume::{Mask3, ScalarVolume};
 use rayon::prelude::*;
 
@@ -107,172 +107,10 @@ impl Renderer {
         w: usize,
         h: usize,
     ) -> Image {
-        self.render_impl(vol, tf, cmap, camera, w, h, None, None)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn render_impl(
-        &self,
-        vol: &ScalarVolume,
-        tf: &TransferFunction1D,
-        cmap: ColorMap,
-        camera: &Camera,
-        w: usize,
-        h: usize,
-        overlay: Option<&Mask3>,
-        overlay_tf: Option<&TransferFunction1D>,
-    ) -> Image {
         let _span = ifet_obs::span("render.raycast");
-        let mut img = Image::new(w, h);
-        let p = self.params;
-        let (tlo, thi) = tf.domain();
-        let light = camera.view_dir(); // headlight
-        let corr = corrected_table(tf, p.opacity_scale, p.step);
-        let overlay_corr = overlay_tf.map(|otf| corrected_table(otf, p.opacity_scale, p.step));
-
-        let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
-        let scope = ifet_obs::current();
-        rows.into_par_iter().for_each(|(py, row)| {
-            // Workers may not open spans; per-scanline work is reported as
-            // deterministic counters merged when each row finishes.
-            let _obs = scope.enter();
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let rgb = self.trace(
-                    vol,
-                    tf,
-                    cmap,
-                    origin,
-                    dir,
-                    light,
-                    tlo,
-                    thi,
-                    &corr,
-                    overlay,
-                    overlay_tf,
-                    overlay_corr.as_deref(),
-                );
-                row[3 * px] = rgb[0].clamp(0.0, 1.0);
-                row[3 * px + 1] = rgb[1].clamp(0.0, 1.0);
-                row[3 * px + 2] = rgb[2].clamp(0.0, 1.0);
-            }
-            ifet_obs::counter("scanlines", 1);
-            ifet_obs::counter("pixels", w as u64);
-        });
-        img
+        self.dvr(vol, tf, None, cmap, camera, w, h)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn trace(
-        &self,
-        vol: &ScalarVolume,
-        tf: &TransferFunction1D,
-        cmap: ColorMap,
-        origin: [f32; 3],
-        dir: [f32; 3],
-        light: [f32; 3],
-        tlo: f32,
-        thi: f32,
-        corr: &[f32],
-        overlay: Option<&Mask3>,
-        overlay_tf: Option<&TransferFunction1D>,
-        overlay_corr: Option<&[f32]>,
-    ) -> [f32; 3] {
-        let p = &self.params;
-        let d = vol.dims();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
-        let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) else {
-            return p.background;
-        };
-
-        let mut color = [0.0f32; 3];
-        let mut alpha = 0.0f32;
-        // Index-based sample positions (t0 + k·step, never an accumulated
-        // `t += step`), so the sample set is independent of packet width.
-        let t0 = t_enter.max(0.0);
-        if t0 > t_exit {
-            return p.background;
-        }
-        let n_steps = ((t_exit - t0) / p.step) as usize + 1;
-        let packet = p.packet_size();
-        let mut pos = [[0.0f32; 3]; MAX_PACKET];
-        let mut vals = [0.0f32; MAX_PACKET];
-        let mut alphas = [0.0f32; MAX_PACKET];
-
-        let mut k = 0;
-        'ray: while k < n_steps {
-            let m = packet.min(n_steps - k);
-            // Batched phases: position math, trilinear fetch, TF lookup.
-            for (j, q) in pos[..m].iter_mut().enumerate() {
-                let t = t0 + (k + j) as f32 * p.step;
-                *q = [
-                    origin[0] + dir[0] * t,
-                    origin[1] + dir[1] * t,
-                    origin[2] + dir[2] * t,
-                ];
-            }
-            for j in 0..m {
-                vals[j] = trilinear(vol, pos[j][0], pos[j][1], pos[j][2]);
-            }
-            for j in 0..m {
-                alphas[j] = corr[tf.entry_of(vals[j])];
-            }
-            // Serial compositing (order-dependent), early-exiting the ray.
-            for j in 0..m {
-                let [x, y, z] = pos[j];
-                let v = vals[j];
-                let mut a = alphas[j];
-                let mut sample_color = cmap.sample_in(v, tlo, thi);
-                // Tracked-feature overlay: voxels inside the region-grow
-                // mask render red with the adaptive TF's opacity (Section 7).
-                if let (Some(mask), Some(otf), Some(ocorr)) = (overlay, overlay_tf, overlay_corr) {
-                    let (cx, cy, cz) =
-                        d.clamp_i(x.round() as i64, y.round() as i64, z.round() as i64);
-                    if mask.get(cx, cy, cz) {
-                        sample_color = [1.0, 0.1, 0.1];
-                        a = ocorr[otf.entry_of(v)];
-                    }
-                }
-                if a > 1e-4 {
-                    if p.shading {
-                        let g = normalize3(gradient_trilinear(vol, x, y, z));
-                        let ndotl = (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
-                        let shade = p.ambient + (1.0 - p.ambient) * ndotl;
-                        for c in &mut sample_color {
-                            *c *= shade;
-                        }
-                        // Headlight specular: the half-vector coincides with
-                        // the light/view direction, so the highlight is
-                        // |n·l|^s.
-                        if p.specular > 0.0 {
-                            let spec = p.specular * ndotl.powf(p.shininess);
-                            for c in &mut sample_color {
-                                *c += spec;
-                            }
-                        }
-                    }
-                    let w = a * (1.0 - alpha);
-                    for ch in 0..3 {
-                        color[ch] += w * sample_color[ch];
-                    }
-                    alpha += w;
-                    if alpha >= p.early_termination {
-                        break 'ray;
-                    }
-                }
-            }
-            k += m;
-        }
-
-        [
-            color[0] + (1.0 - alpha) * p.background[0],
-            color[1] + (1.0 - alpha) * p.background[1],
-            color[2] + (1.0 - alpha) * p.background[2],
-        ]
-    }
-}
-
-impl Renderer {
     /// Render a data-space classification result: "the classified result is
     /// stored as a 3D texture and used to assign opacity to each voxel"
     /// (Section 7). Opacity comes from the certainty field, color from the
@@ -293,85 +131,27 @@ impl Renderer {
             "certainty field dims mismatch"
         );
         let _span = ifet_obs::span("render.classified");
-        let mut img = Image::new(w, h);
         let p = self.params;
-        let d = vol.dims();
+        let cert = Sampler::new(certainty);
         let (vlo, vhi) = vol.value_range();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
-        let light = camera.view_dir();
-
-        let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
-        let scope = ifet_obs::current();
-        rows.into_par_iter().for_each(|(py, row)| {
-            let _obs = scope.enter();
-            ifet_obs::counter("scanlines", 1);
-            ifet_obs::counter("pixels", w as u64);
-            let packet = p.packet_size();
-            let mut pos = [[0.0f32; 3]; MAX_PACKET];
-            let mut alphas = [0.0f32; MAX_PACKET];
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let mut color = [0.0f32; 3];
-                let mut alpha = 0.0f32;
-                if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
-                    let t0 = t_enter.max(0.0);
-                    let n_steps = if t0 > t_exit {
-                        0
-                    } else {
-                        ((t_exit - t0) / p.step) as usize + 1
-                    };
-                    let mut k = 0;
-                    'ray: while k < n_steps {
-                        let m = packet.min(n_steps - k);
-                        for (j, q) in pos[..m].iter_mut().enumerate() {
-                            let t = t0 + (k + j) as f32 * p.step;
-                            *q = [
-                                origin[0] + dir[0] * t,
-                                origin[1] + dir[1] * t,
-                                origin[2] + dir[2] * t,
-                            ];
-                        }
-                        // Certainty is trilinearly interpolated (continuous),
-                        // so the step correction is per-sample `powf` here —
-                        // batched alongside the fetch.
-                        for j in 0..m {
-                            let cert = trilinear(certainty, pos[j][0], pos[j][1], pos[j][2]);
-                            alphas[j] = corrected_opacity(cert * p.opacity_scale, p.step);
-                        }
-                        for j in 0..m {
-                            let [x, y, z] = pos[j];
-                            let a = alphas[j];
-                            if a > 1e-4 {
-                                let v = trilinear(vol, x, y, z);
-                                let mut c = cmap.sample_in(v, vlo, vhi);
-                                if p.shading {
-                                    let g = normalize3(gradient_trilinear(vol, x, y, z));
-                                    let ndotl =
-                                        (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
-                                    let shade = p.ambient + (1.0 - p.ambient) * ndotl;
-                                    for ch in &mut c {
-                                        *ch *= shade;
-                                    }
-                                }
-                                let wgt = a * (1.0 - alpha);
-                                for ch in 0..3 {
-                                    color[ch] += wgt * c[ch];
-                                }
-                                alpha += wgt;
-                                if alpha >= p.early_termination {
-                                    break 'ray;
-                                }
-                            }
-                        }
-                        k += m;
-                    }
+        // Classified renders take no specular term.
+        let shader = Shader::new(p, vol, camera, false);
+        self.cast(
+            vol,
+            camera,
+            (w, h),
+            Composite::default,
+            // Certainty is trilinearly interpolated (continuous), so the
+            // step correction is per-sample `powf` here.
+            |s| corrected_opacity(cert.at(s) * p.opacity_scale, p.step),
+            |ray, s, a| {
+                a > 1e-4 && {
+                    let c = cmap.sample_in(shader.vol.at(s), vlo, vhi);
+                    shader.composite(ray, s, c, a)
                 }
-                row[3 * px] = (color[0] + (1.0 - alpha) * p.background[0]).clamp(0.0, 1.0);
-                row[3 * px + 1] = (color[1] + (1.0 - alpha) * p.background[1]).clamp(0.0, 1.0);
-                row[3 * px + 2] = (color[2] + (1.0 - alpha) * p.background[2]).clamp(0.0, 1.0);
-            }
-        });
-        img
+            },
+            |ray| shader.finish(ray.unwrap_or_default()),
+        )
     }
 
     /// Maximum-intensity projection: each pixel shows the color-mapped
@@ -387,61 +167,218 @@ impl Renderer {
         h: usize,
     ) -> Image {
         let _span = ifet_obs::span("render.mip");
-        let mut img = Image::new(w, h);
-        let p = self.params;
-        let d = vol.dims();
+        let s = Sampler::new(vol);
         let (vlo, vhi) = vol.value_range();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+        self.cast(
+            vol,
+            camera,
+            (w, h),
+            || f32::NEG_INFINITY,
+            |at| s.at(at),
+            |best, _, v| {
+                *best = best.max(v);
+                false
+            },
+            |best| match best {
+                Some(b) if b.is_finite() => cmap.sample_in(b, vlo, vhi),
+                _ => self.params.background,
+            },
+        )
+    }
 
+    /// Direct volume rendering through a 1D TF, optionally with a tracked
+    /// feature drawn over it: voxels inside the region-grow mask render red
+    /// with the adaptive TF's opacity (Section 7).
+    #[allow(clippy::too_many_arguments)]
+    fn dvr(
+        &self,
+        vol: &ScalarVolume,
+        tf: &TransferFunction1D,
+        overlay: Option<(&Mask3, &TransferFunction1D)>,
+        cmap: ColorMap,
+        camera: &Camera,
+        w: usize,
+        h: usize,
+    ) -> Image {
+        let p = self.params;
+        let (tlo, thi) = tf.domain();
+        let corr = corrected_table(tf, p.opacity_scale, p.step);
+        let overlay =
+            overlay.map(|(m, otf)| (m, otf, corrected_table(otf, p.opacity_scale, p.step)));
+        let shader = Shader::new(p, vol, camera, true);
+        self.cast(
+            vol,
+            camera,
+            (w, h),
+            Composite::default,
+            |s| {
+                let v = shader.vol.at(s);
+                (v, corr[tf.entry_of(v)])
+            },
+            |ray, s, (v, mut a)| {
+                let mut c = cmap.sample_in(v, tlo, thi);
+                if let Some((mask, otf, ocorr)) = &overlay {
+                    let [x, y, z] = s.pos();
+                    let (cx, cy, cz) =
+                        vol.dims()
+                            .clamp_i(x.round() as i64, y.round() as i64, z.round() as i64);
+                    if mask.get(cx, cy, cz) {
+                        c = [1.0, 0.1, 0.1];
+                        a = ocorr[otf.entry_of(v)];
+                    }
+                }
+                a > 1e-4 && shader.composite(ray, s, c, a)
+            },
+            |ray| ray.map_or(p.background, |r| shader.finish(r)),
+        )
+    }
+
+    /// The row loop and sample loop every mode shares. Modes differ only in
+    /// what a ray accumulates (`begin`), what the batched packet phase
+    /// fetches per sample (`fetch`), how the serial phase folds a sample
+    /// into the ray — true once the ray is done — (`step`), and the colour
+    /// of a finished ray, `None` for a ray that misses the volume
+    /// (`finish`).
+    #[allow(clippy::too_many_arguments)]
+    fn cast<R, T: Copy + Default>(
+        &self,
+        vol: &ScalarVolume,
+        camera: &Camera,
+        (w, h): (usize, usize),
+        begin: impl Fn() -> R + Sync,
+        fetch: impl Fn(&Located) -> T + Sync,
+        step: impl Fn(&mut R, &Located, T) -> bool + Sync,
+        finish: impl Fn(Option<R>) -> [f32; 3] + Sync,
+    ) -> Image {
+        let p = &self.params;
+        let d = vol.dims();
+        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+        let grid = Sampler::new(vol);
+        let rays = camera.rays(w, h);
+        let packet = p.packet_size();
+        let march = |origin: [f32; 3], dir: [f32; 3], staged: &mut [(Located, T)]| {
+            let (t_enter, t_exit) = ray_box(origin, dir, bounds)?;
+            // Index-based sample positions (t0 + k·step, never an
+            // accumulated `t += step`), so the sample set is independent of
+            // packet width.
+            let t0 = t_enter.max(0.0);
+            if t0 > t_exit {
+                return None;
+            }
+            let n_steps = ((t_exit - t0) / p.step) as usize + 1;
+            let mut ray = begin();
+            let mut k = 0;
+            while k < n_steps {
+                let m = packet.min(n_steps - k);
+                // Batched phase: position, trilinear fetch, opacity lookup.
+                for (j, (s, f)) in staged[..m].iter_mut().enumerate() {
+                    let t = t0 + (k + j) as f32 * p.step;
+                    *s = grid.locate(
+                        origin[0] + dir[0] * t,
+                        origin[1] + dir[1] * t,
+                        origin[2] + dir[2] * t,
+                    );
+                    *f = fetch(s);
+                }
+                // Serial phase (order-dependent), early-exiting the ray.
+                for (s, f) in &staged[..m] {
+                    if step(&mut ray, s, *f) {
+                        return Some(ray);
+                    }
+                }
+                k += m;
+            }
+            Some(ray)
+        };
+
+        let mut img = Image::new(w, h);
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
         let scope = ifet_obs::current();
         rows.into_par_iter().for_each(|(py, row)| {
+            // Workers may not open spans; per-scanline work is reported as
+            // deterministic counters merged when each row finishes.
             let _obs = scope.enter();
+            let mut staged = [(Located::default(), T::default()); MAX_PACKET];
+            for (px, out) in row.chunks_exact_mut(3).enumerate() {
+                let (origin, dir) = rays(px, py);
+                let rgb = finish(march(origin, dir, &mut staged));
+                for (o, c) in out.iter_mut().zip(rgb) {
+                    *o = c.clamp(0.0, 1.0);
+                }
+            }
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
-            let packet = p.packet_size();
-            let mut vals = [0.0f32; MAX_PACKET];
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let rgb = if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
-                    let mut best = f32::NEG_INFINITY;
-                    let t0 = t_enter.max(0.0);
-                    let n_steps = if t0 > t_exit {
-                        0
-                    } else {
-                        ((t_exit - t0) / p.step) as usize + 1
-                    };
-                    let mut k = 0;
-                    while k < n_steps {
-                        let m = packet.min(n_steps - k);
-                        for (j, v) in vals[..m].iter_mut().enumerate() {
-                            let t = t0 + (k + j) as f32 * p.step;
-                            *v = trilinear(
-                                vol,
-                                origin[0] + dir[0] * t,
-                                origin[1] + dir[1] * t,
-                                origin[2] + dir[2] * t,
-                            );
-                        }
-                        for &v in &vals[..m] {
-                            best = best.max(v);
-                        }
-                        k += m;
-                    }
-                    if best.is_finite() {
-                        cmap.sample_in(best, vlo, vhi)
-                    } else {
-                        p.background
-                    }
-                } else {
-                    p.background
-                };
-                row[3 * px] = rgb[0].clamp(0.0, 1.0);
-                row[3 * px + 1] = rgb[1].clamp(0.0, 1.0);
-                row[3 * px + 2] = rgb[2].clamp(0.0, 1.0);
-            }
         });
         img
+    }
+}
+
+/// Front-to-back compositing state of one ray.
+#[derive(Default)]
+struct Composite {
+    color: [f32; 3],
+    alpha: f32,
+}
+
+/// Gradient shading and compositing, shared by the DVR and classified
+/// modes.
+struct Shader<'a> {
+    vol: Sampler<'a>,
+    params: RenderParams,
+    /// Headlight direction (the view direction).
+    light: [f32; 3],
+    /// Whether the headlight specular term applies.
+    specular: bool,
+}
+
+impl<'a> Shader<'a> {
+    fn new(params: RenderParams, vol: &'a ScalarVolume, camera: &Camera, specular: bool) -> Self {
+        Self {
+            vol: Sampler::new(vol),
+            params,
+            light: camera.view_dir(),
+            specular,
+        }
+    }
+
+    /// Shade colour `c` at `s` and composite it at opacity `a`; true once
+    /// the ray is opaque enough to stop.
+    #[inline]
+    fn composite(&self, ray: &mut Composite, s: &Located, mut c: [f32; 3], a: f32) -> bool {
+        let p = &self.params;
+        if p.shading {
+            let g = normalize3(self.vol.gradient(s));
+            let l = self.light;
+            let ndotl = (g[0] * l[0] + g[1] * l[1] + g[2] * l[2]).abs();
+            let shade = p.ambient + (1.0 - p.ambient) * ndotl;
+            for ch in &mut c {
+                *ch *= shade;
+            }
+            // Headlight specular: the half-vector coincides with the
+            // light/view direction, so the highlight is |n·l|^s.
+            if self.specular && p.specular > 0.0 {
+                let spec = p.specular * ndotl.powf(p.shininess);
+                for ch in &mut c {
+                    *ch += spec;
+                }
+            }
+        }
+        let w = a * (1.0 - ray.alpha);
+        for (acc, ch) in ray.color.iter_mut().zip(c) {
+            *acc += w * ch;
+        }
+        ray.alpha += w;
+        ray.alpha >= p.early_termination
+    }
+
+    /// The composite over the background.
+    fn finish(&self, ray: Composite) -> [f32; 3] {
+        let (c, a, bg) = (ray.color, ray.alpha, self.params.background);
+        [
+            c[0] + (1.0 - a) * bg[0],
+            c[1] + (1.0 - a) * bg[1],
+            c[2] + (1.0 - a) * bg[2],
+        ]
     }
 }
 
@@ -487,15 +424,15 @@ pub fn render_tracking_overlay(
     h: usize,
 ) -> Image {
     assert_eq!(tracked.dims(), vol.dims());
-    renderer.render_impl(
+    let _span = ifet_obs::span("render.raycast");
+    renderer.dvr(
         vol,
         base_tf,
+        Some((tracked, adaptive_tf)),
         cmap,
         camera,
         w,
         h,
-        Some(tracked),
-        Some(adaptive_tf),
     )
 }
 
@@ -793,5 +730,483 @@ mod tests {
         let a = weak.render(&vol, &tf, ColorMap::Grayscale, &cam, 24, 24);
         let b = strong.render(&vol, &tf, ColorMap::Grayscale, &cam, 24, 24);
         assert!(a.mean_luminance() < b.mean_luminance());
+    }
+
+    /// The ray caster as it stood before the shared sampling core: one
+    /// `Camera::ray` per pixel, an independent `trilinear` per sample and a
+    /// `gradient_trilinear` (six more) per shaded sample, one loop per mode.
+    /// Kept verbatim, run serially, as the byte-identity oracle.
+    mod oracle {
+        use super::super::{corrected_opacity, corrected_table, ray_box, RenderParams, MAX_PACKET};
+        use crate::camera::Camera;
+        use crate::image::Image;
+        use ifet_tf::{ColorMap, TransferFunction1D};
+        use ifet_volume::sample::normalize3;
+        use ifet_volume::{Mask3, ScalarVolume};
+
+        pub fn trilinear(vol: &ScalarVolume, x: f32, y: f32, z: f32) -> f32 {
+            let d = vol.dims();
+            let cx = x.clamp(0.0, (d.nx - 1) as f32);
+            let cy = y.clamp(0.0, (d.ny - 1) as f32);
+            let cz = z.clamp(0.0, (d.nz - 1) as f32);
+
+            let x0 = cx.floor() as usize;
+            let y0 = cy.floor() as usize;
+            let z0 = cz.floor() as usize;
+            let x1 = (x0 + 1).min(d.nx - 1);
+            let y1 = (y0 + 1).min(d.ny - 1);
+            let z1 = (z0 + 1).min(d.nz - 1);
+
+            let fx = cx - x0 as f32;
+            let fy = cy - y0 as f32;
+            let fz = cz - z0 as f32;
+
+            let v000 = *vol.get(x0, y0, z0);
+            let v100 = *vol.get(x1, y0, z0);
+            let v010 = *vol.get(x0, y1, z0);
+            let v110 = *vol.get(x1, y1, z0);
+            let v001 = *vol.get(x0, y0, z1);
+            let v101 = *vol.get(x1, y0, z1);
+            let v011 = *vol.get(x0, y1, z1);
+            let v111 = *vol.get(x1, y1, z1);
+
+            let c00 = v000 + (v100 - v000) * fx;
+            let c10 = v010 + (v110 - v010) * fx;
+            let c01 = v001 + (v101 - v001) * fx;
+            let c11 = v011 + (v111 - v011) * fx;
+
+            let c0 = c00 + (c10 - c00) * fy;
+            let c1 = c01 + (c11 - c01) * fy;
+
+            c0 + (c1 - c0) * fz
+        }
+
+        pub fn gradient_trilinear(vol: &ScalarVolume, x: f32, y: f32, z: f32) -> [f32; 3] {
+            let h = 0.5;
+            [
+                (trilinear(vol, x + h, y, z) - trilinear(vol, x - h, y, z)) / (2.0 * h),
+                (trilinear(vol, x, y + h, z) - trilinear(vol, x, y - h, z)) / (2.0 * h),
+                (trilinear(vol, x, y, z + h) - trilinear(vol, x, y, z - h)) / (2.0 * h),
+            ]
+        }
+
+        fn each_pixel(
+            camera: &Camera,
+            w: usize,
+            h: usize,
+            mut f: impl FnMut([f32; 3], [f32; 3]) -> [f32; 3],
+        ) -> Image {
+            let mut img = Image::new(w, h);
+            for py in 0..h {
+                for px in 0..w {
+                    let (origin, dir) = camera.ray(px, py, w, h);
+                    img.set_pixel(px, py, f(origin, dir));
+                }
+            }
+            img
+        }
+
+        /// `render` (overlay `None`) and `render_tracking_overlay`.
+        #[allow(clippy::too_many_arguments)]
+        pub fn render(
+            p: &RenderParams,
+            vol: &ScalarVolume,
+            tf: &TransferFunction1D,
+            cmap: ColorMap,
+            camera: &Camera,
+            w: usize,
+            h: usize,
+            overlay: Option<(&Mask3, &TransferFunction1D)>,
+        ) -> Image {
+            let (tlo, thi) = tf.domain();
+            let light = camera.view_dir();
+            let corr = corrected_table(tf, p.opacity_scale, p.step);
+            let overlay_corr =
+                overlay.map(|(_, otf)| corrected_table(otf, p.opacity_scale, p.step));
+            each_pixel(camera, w, h, |origin, dir| {
+                trace(
+                    p,
+                    vol,
+                    tf,
+                    cmap,
+                    origin,
+                    dir,
+                    light,
+                    tlo,
+                    thi,
+                    &corr,
+                    overlay.map(|(m, _)| m),
+                    overlay.map(|(_, otf)| otf),
+                    overlay_corr.as_deref(),
+                )
+            })
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn trace(
+            p: &RenderParams,
+            vol: &ScalarVolume,
+            tf: &TransferFunction1D,
+            cmap: ColorMap,
+            origin: [f32; 3],
+            dir: [f32; 3],
+            light: [f32; 3],
+            tlo: f32,
+            thi: f32,
+            corr: &[f32],
+            overlay: Option<&Mask3>,
+            overlay_tf: Option<&TransferFunction1D>,
+            overlay_corr: Option<&[f32]>,
+        ) -> [f32; 3] {
+            let d = vol.dims();
+            let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+            let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) else {
+                return p.background;
+            };
+
+            let mut color = [0.0f32; 3];
+            let mut alpha = 0.0f32;
+            let t0 = t_enter.max(0.0);
+            if t0 > t_exit {
+                return p.background;
+            }
+            let n_steps = ((t_exit - t0) / p.step) as usize + 1;
+            let packet = p.packet_size();
+            let mut pos = [[0.0f32; 3]; MAX_PACKET];
+            let mut vals = [0.0f32; MAX_PACKET];
+            let mut alphas = [0.0f32; MAX_PACKET];
+
+            let mut k = 0;
+            'ray: while k < n_steps {
+                let m = packet.min(n_steps - k);
+                for (j, q) in pos[..m].iter_mut().enumerate() {
+                    let t = t0 + (k + j) as f32 * p.step;
+                    *q = [
+                        origin[0] + dir[0] * t,
+                        origin[1] + dir[1] * t,
+                        origin[2] + dir[2] * t,
+                    ];
+                }
+                for j in 0..m {
+                    vals[j] = trilinear(vol, pos[j][0], pos[j][1], pos[j][2]);
+                }
+                for j in 0..m {
+                    alphas[j] = corr[tf.entry_of(vals[j])];
+                }
+                for j in 0..m {
+                    let [x, y, z] = pos[j];
+                    let v = vals[j];
+                    let mut a = alphas[j];
+                    let mut sample_color = cmap.sample_in(v, tlo, thi);
+                    if let (Some(mask), Some(otf), Some(ocorr)) =
+                        (overlay, overlay_tf, overlay_corr)
+                    {
+                        let (cx, cy, cz) =
+                            d.clamp_i(x.round() as i64, y.round() as i64, z.round() as i64);
+                        if mask.get(cx, cy, cz) {
+                            sample_color = [1.0, 0.1, 0.1];
+                            a = ocorr[otf.entry_of(v)];
+                        }
+                    }
+                    if a > 1e-4 {
+                        if p.shading {
+                            let g = normalize3(gradient_trilinear(vol, x, y, z));
+                            let ndotl = (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
+                            let shade = p.ambient + (1.0 - p.ambient) * ndotl;
+                            for c in &mut sample_color {
+                                *c *= shade;
+                            }
+                            if p.specular > 0.0 {
+                                let spec = p.specular * ndotl.powf(p.shininess);
+                                for c in &mut sample_color {
+                                    *c += spec;
+                                }
+                            }
+                        }
+                        let w = a * (1.0 - alpha);
+                        for ch in 0..3 {
+                            color[ch] += w * sample_color[ch];
+                        }
+                        alpha += w;
+                        if alpha >= p.early_termination {
+                            break 'ray;
+                        }
+                    }
+                }
+                k += m;
+            }
+
+            [
+                color[0] + (1.0 - alpha) * p.background[0],
+                color[1] + (1.0 - alpha) * p.background[1],
+                color[2] + (1.0 - alpha) * p.background[2],
+            ]
+        }
+
+        pub fn classified(
+            p: &RenderParams,
+            vol: &ScalarVolume,
+            certainty: &ScalarVolume,
+            cmap: ColorMap,
+            camera: &Camera,
+            w: usize,
+            h: usize,
+        ) -> Image {
+            let d = vol.dims();
+            let (vlo, vhi) = vol.value_range();
+            let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+            let light = camera.view_dir();
+            let packet = p.packet_size();
+            let mut pos = [[0.0f32; 3]; MAX_PACKET];
+            let mut alphas = [0.0f32; MAX_PACKET];
+            each_pixel(camera, w, h, |origin, dir| {
+                let mut color = [0.0f32; 3];
+                let mut alpha = 0.0f32;
+                if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
+                    let t0 = t_enter.max(0.0);
+                    let n_steps = if t0 > t_exit {
+                        0
+                    } else {
+                        ((t_exit - t0) / p.step) as usize + 1
+                    };
+                    let mut k = 0;
+                    'ray: while k < n_steps {
+                        let m = packet.min(n_steps - k);
+                        for (j, q) in pos[..m].iter_mut().enumerate() {
+                            let t = t0 + (k + j) as f32 * p.step;
+                            *q = [
+                                origin[0] + dir[0] * t,
+                                origin[1] + dir[1] * t,
+                                origin[2] + dir[2] * t,
+                            ];
+                        }
+                        for j in 0..m {
+                            let cert = trilinear(certainty, pos[j][0], pos[j][1], pos[j][2]);
+                            alphas[j] = corrected_opacity(cert * p.opacity_scale, p.step);
+                        }
+                        for j in 0..m {
+                            let [x, y, z] = pos[j];
+                            let a = alphas[j];
+                            if a > 1e-4 {
+                                let v = trilinear(vol, x, y, z);
+                                let mut c = cmap.sample_in(v, vlo, vhi);
+                                if p.shading {
+                                    let g = normalize3(gradient_trilinear(vol, x, y, z));
+                                    let ndotl =
+                                        (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
+                                    let shade = p.ambient + (1.0 - p.ambient) * ndotl;
+                                    for ch in &mut c {
+                                        *ch *= shade;
+                                    }
+                                }
+                                let wgt = a * (1.0 - alpha);
+                                for ch in 0..3 {
+                                    color[ch] += wgt * c[ch];
+                                }
+                                alpha += wgt;
+                                if alpha >= p.early_termination {
+                                    break 'ray;
+                                }
+                            }
+                        }
+                        k += m;
+                    }
+                }
+                [
+                    color[0] + (1.0 - alpha) * p.background[0],
+                    color[1] + (1.0 - alpha) * p.background[1],
+                    color[2] + (1.0 - alpha) * p.background[2],
+                ]
+            })
+        }
+
+        pub fn mip(
+            p: &RenderParams,
+            vol: &ScalarVolume,
+            cmap: ColorMap,
+            camera: &Camera,
+            w: usize,
+            h: usize,
+        ) -> Image {
+            let d = vol.dims();
+            let (vlo, vhi) = vol.value_range();
+            let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+            let packet = p.packet_size();
+            let mut vals = [0.0f32; MAX_PACKET];
+            each_pixel(camera, w, h, |origin, dir| {
+                if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
+                    let mut best = f32::NEG_INFINITY;
+                    let t0 = t_enter.max(0.0);
+                    let n_steps = if t0 > t_exit {
+                        0
+                    } else {
+                        ((t_exit - t0) / p.step) as usize + 1
+                    };
+                    let mut k = 0;
+                    while k < n_steps {
+                        let m = packet.min(n_steps - k);
+                        for (j, v) in vals[..m].iter_mut().enumerate() {
+                            let t = t0 + (k + j) as f32 * p.step;
+                            *v = trilinear(
+                                vol,
+                                origin[0] + dir[0] * t,
+                                origin[1] + dir[1] * t,
+                                origin[2] + dir[2] * t,
+                            );
+                        }
+                        for &v in &vals[..m] {
+                            best = best.max(v);
+                        }
+                        k += m;
+                    }
+                    if best.is_finite() {
+                        cmap.sample_in(best, vlo, vhi)
+                    } else {
+                        p.background
+                    }
+                } else {
+                    p.background
+                }
+            })
+        }
+    }
+
+    fn assert_same_bits(got: &Image, want: &Image, what: &str) {
+        assert_eq!((got.width(), got.height()), (want.width(), want.height()));
+        let diff = got
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        if let Some(i) = diff {
+            panic!(
+                "{what}: channel {i} is {} but the oracle gives {}",
+                got.as_slice()[i],
+                want.as_slice()[i]
+            );
+        }
+    }
+
+    /// A smooth field with a sharp shell on non-cubic dims (a stride mix-up
+    /// between axes reads the wrong voxels), plus a certainty field in [0, 1].
+    fn oblong_fields() -> (ScalarVolume, ScalarVolume) {
+        let d = Dims3::new(17, 9, 23);
+        let vol = ScalarVolume::from_fn(d, |x, y, z| {
+            let (fx, fy, fz) = (x as f32 / 16.0, y as f32 / 8.0, z as f32 / 22.0);
+            let r = ((fx - 0.45).powi(2) + (fy - 0.6).powi(2) + (fz - 0.5).powi(2)).sqrt();
+            (1.0 - 2.0 * r).max(0.0) + 0.3 * (7.0 * fx + 3.0 * fz).sin() * fy
+        });
+        let certainty = ScalarVolume::from_fn(d, |x, y, z| {
+            (((x * 7 + y * 3 + z * 5) % 11) as f32 / 10.0).powi(2)
+        });
+        (vol, certainty)
+    }
+
+    /// The same voxels served from a file mapping (`Store::Mapped`).
+    fn mapped_copy(vol: &ScalarVolume, tag: &str) -> ScalarVolume {
+        use ifet_volume::io::{write_raw, VolumeMeta};
+        let dir = std::env::temp_dir().join(format!("ifet_render_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v.raw");
+        write_raw(&path, vol, &VolumeMeta::new(vol.dims())).unwrap();
+        let mapped = ifet_volume::map_frame(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(mapped.is_mapped(), ifet_volume::Mapping::supported());
+        assert_eq!(&mapped, vol);
+        mapped
+    }
+
+    /// Orthographic and perspective views, a view straight down +x whose
+    /// edge rays graze the y and z faces, and a tight window around the
+    /// origin corner — the last two put gradient taps past the boundary.
+    fn oracle_cameras(d: Dims3) -> Vec<(&'static str, Camera)> {
+        let corner = Camera {
+            target: [0.0, 0.0, 0.0],
+            azimuth: 0.7,
+            elevation: 0.5,
+            distance: 40.0,
+            half_extent: 3.0,
+            projection: crate::camera::Projection::Orthographic,
+        };
+        vec![
+            ("ortho", Camera::framing(d, 0.6, 0.4)),
+            ("perspective", Camera::framing_perspective(d, 1.1, -0.3)),
+            ("face", Camera::framing(d, 0.0, 0.0)),
+            ("corner", corner),
+        ]
+    }
+
+    #[test]
+    fn every_mode_is_bit_identical_to_the_oracle() {
+        let (oblong, certainty) = oblong_fields();
+        let mapped = mapped_copy(&oblong, "oracle");
+        let ball = ball_volume(20, 5.0);
+        let ball_certainty = ball.clone();
+        let volumes = [
+            ("ball", &ball, &ball_certainty),
+            ("oblong", &oblong, &certainty),
+            ("mapped", &mapped, &certainty),
+        ];
+        let (w, h) = (19, 13);
+        for (vname, vol, cert) in volumes {
+            let (lo, hi) = vol.value_range();
+            let tf = TransferFunction1D::band(lo, hi, lo + 0.2 * (hi - lo), hi, 0.6);
+            let adaptive = TransferFunction1D::band(lo, hi, lo + 0.5 * (hi - lo), hi, 1.0);
+            let tracked = Mask3::threshold(vol, lo + 0.5 * (hi - lo));
+            for (cname, cam) in oracle_cameras(vol.dims()) {
+                for (shading, specular) in [(false, 0.0), (true, 0.0), (true, 0.4)] {
+                    for packet in [1usize, 3, 8, 64] {
+                        let mut r = Renderer::default();
+                        r.params.shading = shading;
+                        r.params.specular = specular;
+                        r.params.packet = packet;
+                        r.params.background = [0.1, 0.2, 0.3];
+                        let p = &r.params;
+                        let what = |mode: &str| {
+                            format!("{mode} {vname} {cname} shading={shading} specular={specular} packet={packet}")
+                        };
+                        assert_same_bits(
+                            &r.render(vol, &tf, ColorMap::Rainbow, &cam, w, h),
+                            &oracle::render(p, vol, &tf, ColorMap::Rainbow, &cam, w, h, None),
+                            &what("dvr"),
+                        );
+                        assert_same_bits(
+                            &render_tracking_overlay(
+                                &r,
+                                vol,
+                                &tracked,
+                                &tf,
+                                &adaptive,
+                                ColorMap::Heat,
+                                &cam,
+                                w,
+                                h,
+                            ),
+                            &oracle::render(
+                                p,
+                                vol,
+                                &tf,
+                                ColorMap::Heat,
+                                &cam,
+                                w,
+                                h,
+                                Some((&tracked, &adaptive)),
+                            ),
+                            &what("overlay"),
+                        );
+                        assert_same_bits(
+                            &r.render_classified(vol, cert, ColorMap::CoolWarm, &cam, w, h),
+                            &oracle::classified(p, vol, cert, ColorMap::CoolWarm, &cam, w, h),
+                            &what("classified"),
+                        );
+                        assert_same_bits(
+                            &r.render_mip(vol, ColorMap::Grayscale, &cam, w, h),
+                            &oracle::mip(p, vol, ColorMap::Grayscale, &cam, w, h),
+                            &what("mip"),
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -119,7 +119,10 @@ impl TransferFunction1D {
     #[inline]
     pub fn entry_of(&self, v: f32) -> usize {
         let t = (v - self.lo) / (self.hi - self.lo);
-        ((t * TF_ENTRIES as f32).floor() as i64).clamp(0, TF_ENTRIES as i64 - 1) as usize
+        // Truncation equals `floor` on non-negative values; on negative ones
+        // both land at or below 0, which the clamp sends to entry 0 (NaN
+        // casts to 0). Truncating skips a libm call per rendered sample.
+        ((t * TF_ENTRIES as f32) as i64).clamp(0, TF_ENTRIES as i64 - 1) as usize
     }
 
     /// Central data value of entry `i`.
@@ -292,5 +295,54 @@ mod tests {
         let mut tf = TransferFunction1D::transparent(0.0, 1.0);
         tf.set_entry(10, 2.0);
         assert_eq!(tf.table()[10], 1.0);
+    }
+
+    #[test]
+    fn truncating_entry_of_matches_floor() {
+        // Over [0, TF_ENTRIES] a value is its own scaled entry coordinate, so
+        // edge cases can be named directly.
+        let n = TF_ENTRIES as f32;
+        let tf = TransferFunction1D::transparent(0.0, n);
+        let old = |v: f32| {
+            let t = (v - 0.0) / (n - 0.0);
+            ((t * n).floor() as i64).clamp(0, TF_ENTRIES as i64 - 1) as usize
+        };
+        let tiny = f32::from_bits(1);
+        let mut vs = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1.5,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE / 2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        vs.extend((0..=TF_ENTRIES).map(|k| k as f32));
+        for edge in [n - 1.0, n] {
+            vs.push(f32::from_bits(edge.to_bits() - 1));
+            vs.push(f32::from_bits(edge.to_bits() + 1));
+        }
+        // A deterministic sweep over every bit-pattern class and over the
+        // domain (xorshift; no RNG crate in this package's dev-deps).
+        let mut state = 0x9E37_79B9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for _ in 0..20_000 {
+            vs.push(f32::from_bits(next()));
+            vs.push((next() as f32 / u32::MAX as f32) * 1.2 * n - 0.1 * n);
+        }
+        for v in vs {
+            assert_eq!(tf.entry_of(v), old(v), "v = {v:e}");
+        }
     }
 }

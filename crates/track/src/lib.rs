@@ -33,7 +33,7 @@ pub use criterion::{
 };
 pub use events::{track_events, Event, EventKind, TrackReport};
 pub use octree::FeatureOctree;
-pub use region_grow::{grow_4d, grow_4d_serial, GrowCheckpoint, GrowError, Grower, Seed4};
+pub use region_grow::{grow_4d, GrowCheckpoint, GrowError, Grower, Seed4};
 pub use tracks::{
     extract_tracks, extract_tracks_from_parts, label_masks, Track, TrackEnding, TrackSet,
 };

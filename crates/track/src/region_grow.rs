@@ -9,8 +9,8 @@
 //!
 //! Two implementations share the same contract:
 //!
-//! * [`grow_4d_serial`] — the reference: a single queue, criterion evaluated
-//!   through `accept` at every visited edge.
+//! * `grow_4d_serial` — the test-only reference: a single queue, criterion
+//!   evaluated through `accept` at every visited edge.
 //! * [`grow_4d`] — level-synchronous frontier growth. Each round expands the
 //!   current frontier of every frame in parallel (spatial neighbours stay
 //!   within the frame, so each frame's mask is owned by one task), while
@@ -27,7 +27,6 @@ use crate::criterion::GrowthCriterion;
 use ifet_obs as obs;
 use ifet_volume::{map_frames_windowed, Dims3, FrameSource, Mask3, SeriesError};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -123,7 +122,8 @@ pub(crate) fn validate<S: FrameSource + ?Sized>(
 /// Returns one mask per frame (empty masks for frames the region never
 /// reaches). Seeds that fail the criterion are ignored (the user clicked
 /// background). Runs the frontier-parallel algorithm; the result is
-/// bit-identical to [`grow_4d_serial`] and independent of the frame source
+/// bit-identical to a serial single-queue BFS (the tests' oracle) and
+/// independent of the frame source
 /// (in-core or paged — pinned by the out-of-core equivalence suite).
 pub fn grow_4d<S: FrameSource + ?Sized>(
     series: &S,
@@ -425,60 +425,6 @@ impl Grower {
     }
 }
 
-/// Single-threaded reference implementation of [`grow_4d`]: one FIFO queue,
-/// criterion consulted through [`GrowthCriterion::accept`] at every edge.
-pub fn grow_4d_serial<S: FrameSource + ?Sized>(
-    series: &S,
-    criterion: &dyn GrowthCriterion,
-    seeds: &[Seed4],
-) -> Result<Vec<Mask3>, GrowError> {
-    validate(series, criterion, seeds)?;
-    let d = series.dims();
-    let n_frames = series.len();
-    let mut masks: Vec<Mask3> = (0..n_frames).map(|_| Mask3::empty(d)).collect();
-    let mut queue: VecDeque<Seed4> = VecDeque::new();
-
-    for &(fi, x, y, z) in seeds {
-        if masks[fi].get(x, y, z) {
-            continue;
-        }
-        let frame = series.frame(fi)?;
-        if criterion.accept(fi, &frame, x, y, z) {
-            masks[fi].set(x, y, z, true);
-            queue.push_back((fi, x, y, z));
-        }
-    }
-
-    while let Some((fi, x, y, z)) = queue.pop_front() {
-        // Spatial growth within the frame. The handle is held across the
-        // neighbour sweep so a paged source reads the frame at most once here.
-        let frame = series.frame(fi)?;
-        for (nx, ny, nz) in d.neighbors6(x, y, z) {
-            if !masks[fi].get(nx, ny, nz) && criterion.accept(fi, &frame, nx, ny, nz) {
-                masks[fi].set(nx, ny, nz, true);
-                queue.push_back((fi, nx, ny, nz));
-            }
-        }
-        drop(frame);
-        // Temporal growth: the same voxel in adjacent frames.
-        for nf in [fi.wrapping_sub(1), fi + 1] {
-            if nf >= n_frames {
-                continue;
-            }
-            if masks[nf].get(x, y, z) {
-                continue;
-            }
-            let nframe = series.frame(nf)?;
-            if criterion.accept(nf, &nframe, x, y, z) {
-                masks[nf].set(x, y, z, true);
-                queue.push_back((nf, x, y, z));
-            }
-        }
-    }
-
-    Ok(masks)
-}
-
 /// Total voxels captured per frame — a convenient track summary
 /// (this is the series plotted in the Figure 10 experiment).
 pub fn voxels_per_frame(masks: &[Mask3]) -> Vec<usize> {
@@ -490,6 +436,62 @@ mod tests {
     use super::*;
     use crate::criterion::{FixedBandCriterion, MaskCriterion};
     use ifet_volume::{Dims3, ScalarVolume, TimeSeries};
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// Single-threaded reference implementation of [`grow_4d`]: one FIFO queue,
+    /// criterion consulted through [`GrowthCriterion::accept`] at every edge.
+    fn grow_4d_serial<S: FrameSource + ?Sized>(
+        series: &S,
+        criterion: &dyn GrowthCriterion,
+        seeds: &[Seed4],
+    ) -> Result<Vec<Mask3>, GrowError> {
+        validate(series, criterion, seeds)?;
+        let d = series.dims();
+        let n_frames = series.len();
+        let mut masks: Vec<Mask3> = (0..n_frames).map(|_| Mask3::empty(d)).collect();
+        let mut queue: VecDeque<Seed4> = VecDeque::new();
+
+        for &(fi, x, y, z) in seeds {
+            if masks[fi].get(x, y, z) {
+                continue;
+            }
+            let frame = series.frame(fi)?;
+            if criterion.accept(fi, &frame, x, y, z) {
+                masks[fi].set(x, y, z, true);
+                queue.push_back((fi, x, y, z));
+            }
+        }
+
+        while let Some((fi, x, y, z)) = queue.pop_front() {
+            // Spatial growth within the frame. The handle is held across the
+            // neighbour sweep so a paged source reads the frame at most once here.
+            let frame = series.frame(fi)?;
+            for (nx, ny, nz) in d.neighbors6(x, y, z) {
+                if !masks[fi].get(nx, ny, nz) && criterion.accept(fi, &frame, nx, ny, nz) {
+                    masks[fi].set(nx, ny, nz, true);
+                    queue.push_back((fi, nx, ny, nz));
+                }
+            }
+            drop(frame);
+            // Temporal growth: the same voxel in adjacent frames.
+            for nf in [fi.wrapping_sub(1), fi + 1] {
+                if nf >= n_frames {
+                    continue;
+                }
+                if masks[nf].get(x, y, z) {
+                    continue;
+                }
+                let nframe = series.frame(nf)?;
+                if criterion.accept(nf, &nframe, x, y, z) {
+                    masks[nf].set(x, y, z, true);
+                    queue.push_back((nf, x, y, z));
+                }
+            }
+        }
+
+        Ok(masks)
+    }
 
     /// A bright ball moving +x by 2 voxels per frame, fading 0.2 per frame.
     fn moving_ball_series() -> TimeSeries {
@@ -750,5 +752,75 @@ mod tests {
             dims: Dims3::cube(16),
         };
         assert!(e.to_string().contains("(99, 0, 0)"));
+    }
+
+    /// 2–4 frames of random masks over one shared (small) grid — a random 4D
+    /// acceptance set for grow equivalence tests.
+    fn multi_frame_masks_strategy() -> impl Strategy<Value = Vec<Mask3>> {
+        let dims = (2usize..7, 2usize..7, 2usize..7).prop_map(|(x, y, z)| Dims3::new(x, y, z));
+        (dims, 2usize..5).prop_flat_map(|(d, n)| {
+            proptest::collection::vec(
+                proptest::collection::vec(any::<bool>(), d.len()).prop_map(move |bits| {
+                    let mut m = Mask3::empty(d);
+                    for (i, b) in bits.into_iter().enumerate() {
+                        m.set_linear(i, b);
+                    }
+                    m
+                }),
+                n,
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn parallel_grow_matches_serial_on_random_masks(
+            masks in multi_frame_masks_strategy(),
+            seed_fracs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..4),
+        ) {
+            // The tentpole contract: the frontier-parallel grower must be
+            // bit-identical to the serial BFS on arbitrary series/criteria/seeds.
+            let d = masks[0].dims();
+            let n = masks.len();
+            let series = TimeSeries::from_frames(
+                (0..n).map(|k| (k as u32, ScalarVolume::zeros(d))).collect(),
+            );
+            let criterion = MaskCriterion::new(masks).unwrap();
+            let seeds: Vec<_> = seed_fracs
+                .iter()
+                .map(|&(ff, vf)| {
+                    let fi = ((n - 1) as f64 * ff) as usize;
+                    let (x, y, z) = d.coords(((d.len() - 1) as f64 * vf) as usize);
+                    (fi, x, y, z)
+                })
+                .collect();
+            let par = grow_4d(&series, &criterion, &seeds).unwrap();
+            let ser = grow_4d_serial(&series, &criterion, &seeds).unwrap();
+            prop_assert_eq!(par, ser);
+        }
+
+        #[test]
+        fn parallel_grow_matches_serial_with_value_band(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(0.0f32..1.0, 64), 2..5),
+            lo in 0.0f32..0.6, width in 0.1f32..0.6,
+        ) {
+            // Same contract under a value-band criterion over random scalar data
+            // (exercises `precompute_frame` against per-voxel `accept`).
+            let d = Dims3::cube(4);
+            let n = frames.len();
+            let series = TimeSeries::from_frames(
+                frames
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, data)| (k as u32, ScalarVolume::from_vec(d, data)))
+                    .collect(),
+            );
+            let criterion = FixedBandCriterion::new(lo, lo + width, n).unwrap();
+            let seeds = [(0usize, 1usize, 2usize, 3usize), (n - 1, 0, 0, 0)];
+            let par = grow_4d(&series, &criterion, &seeds).unwrap();
+            let ser = grow_4d_serial(&series, &criterion, &seeds).unwrap();
+            prop_assert_eq!(par, ser);
+        }
     }
 }

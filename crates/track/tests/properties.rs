@@ -1,8 +1,8 @@
 //! Property-based tests for tracking invariants.
 
 use ifet_track::components::{ComponentLabels, Connectivity};
-use ifet_track::criterion::{FixedBandCriterion, MaskCriterion};
-use ifet_track::region_grow::{grow_4d, grow_4d_serial};
+use ifet_track::criterion::MaskCriterion;
+use ifet_track::region_grow::grow_4d;
 use ifet_track::FeatureOctree;
 use ifet_volume::{Dims3, Mask3, ScalarVolume, TimeSeries};
 use proptest::prelude::*;
@@ -20,23 +20,6 @@ fn mask_strategy() -> impl Strategy<Value = Mask3> {
             }
             m
         })
-    })
-}
-
-/// 2–4 frames of random masks over one shared (small) grid — a random 4D
-/// acceptance set for grow equivalence tests.
-fn multi_frame_masks_strategy() -> impl Strategy<Value = Vec<Mask3>> {
-    (dims_strategy(), 2usize..5).prop_flat_map(|(d, n)| {
-        proptest::collection::vec(
-            proptest::collection::vec(any::<bool>(), d.len()).prop_map(move |bits| {
-                let mut m = Mask3::empty(d);
-                for (i, b) in bits.into_iter().enumerate() {
-                    m.set_linear(i, b);
-                }
-                m
-            }),
-            n,
-        )
     })
 }
 
@@ -98,56 +81,6 @@ proptest! {
         } else {
             prop_assert!(grown[0].is_empty_mask());
         }
-    }
-
-    #[test]
-    fn parallel_grow_matches_serial_on_random_masks(
-        masks in multi_frame_masks_strategy(),
-        seed_fracs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..4),
-    ) {
-        // The tentpole contract: the frontier-parallel grower must be
-        // bit-identical to the serial BFS on arbitrary series/criteria/seeds.
-        let d = masks[0].dims();
-        let n = masks.len();
-        let series = TimeSeries::from_frames(
-            (0..n).map(|k| (k as u32, ScalarVolume::zeros(d))).collect(),
-        );
-        let criterion = MaskCriterion::new(masks).unwrap();
-        let seeds: Vec<_> = seed_fracs
-            .iter()
-            .map(|&(ff, vf)| {
-                let fi = ((n - 1) as f64 * ff) as usize;
-                let (x, y, z) = d.coords(((d.len() - 1) as f64 * vf) as usize);
-                (fi, x, y, z)
-            })
-            .collect();
-        let par = grow_4d(&series, &criterion, &seeds).unwrap();
-        let ser = grow_4d_serial(&series, &criterion, &seeds).unwrap();
-        prop_assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn parallel_grow_matches_serial_with_value_band(
-        frames in proptest::collection::vec(
-            proptest::collection::vec(0.0f32..1.0, 64), 2..5),
-        lo in 0.0f32..0.6, width in 0.1f32..0.6,
-    ) {
-        // Same contract under a value-band criterion over random scalar data
-        // (exercises `precompute_frame` against per-voxel `accept`).
-        let d = Dims3::cube(4);
-        let n = frames.len();
-        let series = TimeSeries::from_frames(
-            frames
-                .into_iter()
-                .enumerate()
-                .map(|(k, data)| (k as u32, ScalarVolume::from_vec(d, data)))
-                .collect(),
-        );
-        let criterion = FixedBandCriterion::new(lo, lo + width, n).unwrap();
-        let seeds = [(0usize, 1usize, 2usize, 3usize), (n - 1, 0, 0, 0)];
-        let par = grow_4d(&series, &criterion, &seeds).unwrap();
-        let ser = grow_4d_serial(&series, &criterion, &seeds).unwrap();
-        prop_assert_eq!(par, ser);
     }
 
     #[test]

@@ -19,6 +19,15 @@ pub struct Histogram {
     total: u64,
 }
 
+/// The bin of a value scaled to `x = (v - lo) / span * bins`, clamped into
+/// `[0, bins-1]`. After the clamp `x` is non-negative (or NaN, which the
+/// cast sends to 0 like `floor` would), so truncating equals `floor` and
+/// skips its libm call.
+#[inline]
+fn bin_index(x: f32, bins: usize) -> usize {
+    x.clamp(0.0, (bins - 1) as f32) as usize
+}
+
 impl Histogram {
     /// Histogram of a volume with `bins` bins over the volume's own range.
     pub fn of_volume(vol: &ScalarVolume, bins: usize) -> Self {
@@ -41,9 +50,7 @@ impl Histogram {
             let bin = if span <= 0.0 {
                 0
             } else {
-                (((v - lo) / span) * bins as f32)
-                    .floor()
-                    .clamp(0.0, (bins - 1) as f32) as usize
+                bin_index(((v - lo) / span) * bins as f32, bins)
             };
             counts[bin] += 1;
         }
@@ -83,9 +90,7 @@ impl Histogram {
         if span <= 0.0 {
             return 0;
         }
-        (((v - self.lo) / span) * self.bins() as f32)
-            .floor()
-            .clamp(0.0, (self.bins() - 1) as f32) as usize
+        bin_index(((v - self.lo) / span) * self.bins() as f32, self.bins())
     }
 
     /// Central value of a bin.
@@ -178,9 +183,7 @@ impl CumulativeHistogram {
         if span <= 0.0 || v >= self.hi {
             return self.total;
         }
-        let bin = (((v - self.lo) / span) * self.bins() as f32)
-            .floor()
-            .clamp(0.0, (self.bins() - 1) as f32) as usize;
+        let bin = bin_index(((v - self.lo) / span) * self.bins() as f32, self.bins());
         self.cum[bin]
     }
 
@@ -321,5 +324,80 @@ mod tests {
         let h = Histogram::of_values(&[], 4, 0.0, 1.0);
         let c = CumulativeHistogram::from_histogram(&h);
         assert_eq!(c.fraction_at_or_below(0.5), 0.0);
+    }
+
+    /// Scaled values where `floor` and truncation could part: signed zeros,
+    /// negatives in (-1, 0), subnormals, infinities, NaN, every bin edge and
+    /// one ulp either side of the last two edges.
+    fn binning_edge_cases(bins: usize) -> Vec<f32> {
+        let tiny = f32::from_bits(1);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1.5,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE / 2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for k in 0..=bins {
+            xs.push(k as f32);
+        }
+        // (Edge 0's neighbours are the signed subnormals above.)
+        for edge in [(bins - 1) as f32, bins as f32]
+            .into_iter()
+            .filter(|&e| e > 0.0)
+        {
+            xs.push(f32::from_bits(edge.to_bits() - 1));
+            xs.push(f32::from_bits(edge.to_bits() + 1));
+        }
+        xs
+    }
+
+    #[test]
+    fn truncating_bin_index_matches_floor() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let old = |x: f32, bins: usize| x.floor().clamp(0.0, (bins - 1) as f32) as usize;
+        let mut rng = SmallRng::seed_from_u64(0xB125);
+        for bins in [1usize, 2, 7, 256, 1024] {
+            let mut xs = binning_edge_cases(bins);
+            // Every bit pattern class, plus dense coverage around the range.
+            xs.extend((0..20_000).map(|_| f32::from_bits(rng.gen::<u32>())));
+            xs.extend((0..20_000).map(|_| (rng.gen::<f32>() * 1.2 - 0.1) * bins as f32));
+            for x in xs {
+                assert_eq!(bin_index(x, bins), old(x, bins), "x = {x:e}, bins = {bins}");
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_binning_matches_floor_on_values() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let (lo, hi, bins) = (-3.0f32, 5.0f32, 256usize);
+        let old = |v: f32| {
+            (((v - lo) / (hi - lo)) * bins as f32)
+                .floor()
+                .clamp(0.0, (bins - 1) as f32) as usize
+        };
+        let mut rng = SmallRng::seed_from_u64(0xB126);
+        let mut values: Vec<f32> = binning_edge_cases(bins)
+            .into_iter()
+            .map(|x| lo + x / bins as f32 * (hi - lo))
+            .collect();
+        values.extend((0..20_000).map(|_| rng.gen::<f32>() * 10.0 - 4.0));
+        values.extend((0..2_000).map(|_| f32::from_bits(rng.gen::<u32>())));
+        let h = Histogram::of_values(&values, bins, lo, hi);
+        let mut want = vec![0u64; bins];
+        for &v in values.iter().filter(|v| !v.is_nan()) {
+            want[old(v)] += 1;
+            assert_eq!(h.bin_of(v), old(v), "v = {v:e}");
+        }
+        assert_eq!(h.counts(), &want[..]);
     }
 }
